@@ -235,13 +235,12 @@ def test_engine_throughput(scale):
     for a, b in zip(store_cold_results, store_warm_results):
         assert np.array_equal(a.latencies_ms, b.latencies_ms)
 
-    # Persistent pools: the process/sharded batches above reused warm pools
-    # instead of respawning one per batch (creations stay far below
-    # dispatches; reinitialisations only happen on environment change).
+    # Persistent pools: the process/sharded batches above reused one warm
+    # pool instead of respawning one per batch or per environment.
     pools_after = pool_diagnostics()
     pool_summary = {
         key: pools_after[key] - pools_before.get(key, 0)
-        for key in ("pools_created", "pools_reinitialized", "batches_dispatched")
+        for key in ("pools_created", "batches_dispatched")
     }
     pool_summary["live_pools"] = pools_after["live_pools"]
     if pool_summary["batches_dispatched"] > 0:
@@ -249,7 +248,6 @@ def test_engine_throughput(scale):
             f"expected one persistent pool, saw {pool_summary['pools_created']} creations "
             f"across {pool_summary['batches_dispatched']} dispatches"
         )
-        assert pool_summary["pools_reinitialized"] == 0
 
     process_speedup = serial_s / process_s if process_s > 0 else float("inf")
     vectorized_speedup = serial_s / vectorized_s if vectorized_s > 0 else float("inf")

@@ -12,7 +12,7 @@ negate their objective first.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 __all__ = [
     "expected_improvement",
@@ -34,18 +34,23 @@ def _validate(mean, std) -> tuple[np.ndarray, np.ndarray]:
     return mu, np.maximum(sigma, 1e-12)
 
 
+def _normal_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal density, value-for-value equal to ``scipy.stats.norm.pdf``."""
+    return np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+
+
 def expected_improvement(mean, std, best: float, xi: float = 0.01) -> np.ndarray:
     """Expected improvement over the incumbent ``best`` (maximisation)."""
     mu, sigma = _validate(mean, std)
     improvement = mu - best - xi
     z = improvement / sigma
-    return improvement * stats.norm.cdf(z) + sigma * stats.norm.pdf(z)
+    return improvement * ndtr(z) + sigma * _normal_pdf(z)
 
 
 def probability_of_improvement(mean, std, best: float, xi: float = 0.01) -> np.ndarray:
     """Probability of improving on the incumbent ``best`` (maximisation)."""
     mu, sigma = _validate(mean, std)
-    return stats.norm.cdf((mu - best - xi) / sigma)
+    return ndtr((mu - best - xi) / sigma)
 
 
 def upper_confidence_bound(mean, std, beta: float) -> np.ndarray:

@@ -22,19 +22,18 @@ draws from its own seed-derived stream, a sharded batch is byte-identical
 to the whole-batch vectorized pass — the two share the ``vectorized``
 numerics family in the engine cache.
 
-Three design points make the parallel kinds actually pay (the original
+Two design points make the parallel kinds actually pay (the original
 process executor *lost* to serial — see the post-mortem in
 ``docs/performance.md``):
 
-* the environment is installed into workers once per pool lifetime through
-  the pool *initializer* (free under the ``fork`` start method) instead of
-  being pickled into every chunk payload of every batch;
 * process pools are persistent and shared process-wide (keyed on worker
-  count), surviving both ``MeasurementEngine.shutdown()`` and engine
-  garbage collection, so stages that create one engine per run stop paying
-  a pool spawn each — :func:`shutdown_worker_pools` (registered ``atexit``)
-  is the real teardown, and :func:`pool_diagnostics` exposes the
-  created/reused counters the throughput benchmark records;
+  count only), surviving batches, environment changes,
+  ``MeasurementEngine.shutdown()`` and engine garbage collection — the
+  environment travels inside each shard/chunk payload (a few kB), so a
+  batch against a new environment never respawns the pool;
+  :func:`shutdown_worker_pools` (registered ``atexit``) is the real
+  teardown, and :func:`pool_diagnostics` exposes the creation/dispatch
+  counters the throughput benchmark records;
 * shard results travel back as a handful of preallocated NumPy arrays
   (latencies + scalar metrics + stage breakdown) instead of a pickled list
   of per-request ``SimulationResult`` objects.
@@ -53,7 +52,6 @@ import os
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -195,38 +193,16 @@ def execute_one(environment: "Environment", request: "MeasurementRequest") -> "S
 
 
 # --------------------------------------------------------------- worker side
-#: Environment installed by :func:`_initialize_worker` when a process-pool
-#: worker starts — sent once per worker lifetime (inherited for free under
-#: the ``fork`` start method) instead of once per chunk payload.
-_WORKER_ENVIRONMENT: "Environment | None" = None
-
-
-def _initialize_worker(environment: "Environment") -> None:
-    """Pool initializer: install the batch environment into this worker."""
-    global _WORKER_ENVIRONMENT
-    _WORKER_ENVIRONMENT = environment
-
-
-def _run_chunk_scalar(requests: list["MeasurementRequest"]) -> list:
-    """Process-pool entry point: scalar-execute one chunk of requests."""
-    return [execute_one(_WORKER_ENVIRONMENT, request) for request in requests]
-
-
-def _run_shard_vectorized(requests: list["MeasurementRequest"]) -> tuple:
-    """Process-pool entry point: vectorized-execute one shard, packed return."""
-    environment = _WORKER_ENVIRONMENT
-    run_requests = getattr(environment, "run_requests", None)
-    if run_requests is None:
-        results = [execute_one(environment, request) for request in requests]
-    else:
-        results = run_requests(requests)
-    return _pack_results(results)
-
-
 def _execute_chunk(payload: tuple["Environment", list["MeasurementRequest"]]) -> list:
-    """Thread-pool entry point: one chunk against a shared-memory environment."""
+    """Thread/process-pool entry point: scalar-execute one chunk of requests."""
     environment, requests = payload
     return [execute_one(environment, request) for request in requests]
+
+
+def _run_shard_vectorized(payload: tuple["Environment", list["MeasurementRequest"]]) -> tuple:
+    """Process-pool entry point: vectorized-execute one shard, packed return."""
+    environment, requests = payload
+    return _pack_results(environment.run_requests(requests))
 
 
 def _chunk(items: list, n_chunks: int) -> list[list]:
@@ -330,79 +306,37 @@ def _unpack_results(payload: tuple, requests: list["MeasurementRequest"]) -> lis
 
 
 # ------------------------------------------------------- persistent pools
-@dataclass
-class _PoolRecord:
-    """One live process pool plus the environment its workers hold."""
-
-    pool: Executor
-    fingerprint: tuple
-
-
 #: Live process pools keyed on worker count; shared by every ProcessExecutor
 #: and ShardedExecutor in the process so pools survive engine churn.
-_PROCESS_POOLS: dict[int, _PoolRecord] = {}
+_PROCESS_POOLS: dict[int, Executor] = {}
 _POOL_LOCK = threading.Lock()
 #: Cumulative pool accounting, surfaced by :func:`pool_diagnostics` and
 #: recorded in ``BENCH_engine.json`` as the no-per-batch-respawn evidence.
-_POOL_COUNTERS = {"pools_created": 0, "pools_reinitialized": 0, "batches_dispatched": 0}
+_POOL_COUNTERS = {"pools_created": 0, "batches_dispatched": 0}
 
 
-def _environment_fingerprint(environment: "Environment") -> tuple:
-    """Content identity used to decide whether a pool's workers can be reused."""
-    fingerprint = getattr(environment, "fingerprint", None)
-    if callable(fingerprint):
-        try:
-            return fingerprint()
-        except Exception:  # pragma: no cover - defensive: fall back to identity
-            pass
-    return ("object", id(environment))
-
-
-def _make_process_pool(max_workers: int, environment: "Environment") -> Executor:
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platforms without fork
-        context = None
-    return ProcessPoolExecutor(
-        max_workers=max_workers,
-        mp_context=context,
-        initializer=_initialize_worker,
-        initargs=(environment,),
-    )
-
-
-def _acquire_process_pool(max_workers: int, environment: "Environment") -> Executor:
-    """The persistent pool for ``max_workers``, re-initialised on environment change.
-
-    Workers carry the environment they were initialised with, so a pool is
-    reusable across batches (and engines) exactly while the environment
-    content stays the same; submitting a different environment respawns the
-    pool once rather than pickling the environment into every chunk.
-    """
-    fingerprint = _environment_fingerprint(environment)
+def _acquire_process_pool(max_workers: int) -> Executor:
+    """The persistent fork pool for ``max_workers``, created on first use."""
     with _POOL_LOCK:
-        record = _PROCESS_POOLS.get(max_workers)
-        if record is not None and record.fingerprint != fingerprint:
-            record.pool.shutdown(wait=True)
-            del _PROCESS_POOLS[max_workers]
-            _POOL_COUNTERS["pools_reinitialized"] += 1
-            record = None
-        if record is None:
-            record = _PoolRecord(
-                pool=_make_process_pool(max_workers, environment), fingerprint=fingerprint
-            )
-            _PROCESS_POOLS[max_workers] = record
+        pool = _PROCESS_POOLS.get(max_workers)
+        if pool is None:
+            try:
+                context = multiprocessing.get_context("fork")
+            except ValueError:  # pragma: no cover - platforms without fork
+                context = None
+            pool = ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
+            _PROCESS_POOLS[max_workers] = pool
             _POOL_COUNTERS["pools_created"] += 1
         _POOL_COUNTERS["batches_dispatched"] += 1
-        return record.pool
+        return pool
 
 
 def _discard_pool(max_workers: int) -> None:
     """Drop a (broken) pool so the next batch starts a fresh one."""
     with _POOL_LOCK:
-        record = _PROCESS_POOLS.pop(max_workers, None)
-        if record is not None:
-            record.pool.shutdown(wait=False)
+        pool = _PROCESS_POOLS.pop(max_workers, None)
+        if pool is not None:
+            pool.shutdown(wait=False)
 
 
 def _dispatch_to_pool(
@@ -411,17 +345,22 @@ def _dispatch_to_pool(
     worker_fn: Callable,
     chunks: list[list["MeasurementRequest"]],
 ) -> list:
-    """Map ``chunks`` over the persistent pool, evicting it if it broke."""
-    pool = _acquire_process_pool(max_workers, environment)
+    """Map ``(environment, chunk)`` payloads over the persistent pool.
+
+    The environment is pickled into every payload, so workers always run
+    against the caller's current environment — including one mutated in
+    place since the last batch.  A pool that broke is evicted.
+    """
+    pool = _acquire_process_pool(max_workers)
     try:
-        return list(pool.map(worker_fn, chunks))
+        return list(pool.map(worker_fn, [(environment, chunk) for chunk in chunks]))
     except BrokenProcessPool:
         _discard_pool(max_workers)
         raise
 
 
 def pool_diagnostics() -> dict[str, int]:
-    """Pool reuse accounting: creations, environment respawns, batches, live pools."""
+    """Pool reuse accounting: creations, dispatched batches, live pools."""
     with _POOL_LOCK:
         return {**_POOL_COUNTERS, "live_pools": len(_PROCESS_POOLS)}
 
@@ -434,8 +373,8 @@ def shutdown_worker_pools() -> None:
     and for tests that must assert cold-pool behaviour.
     """
     with _POOL_LOCK:
-        for record in _PROCESS_POOLS.values():
-            record.pool.shutdown(wait=True)
+        for pool in _PROCESS_POOLS.values():
+            pool.shutdown(wait=True)
         _PROCESS_POOLS.clear()
 
 
@@ -509,10 +448,10 @@ class ThreadExecutor:
 class ProcessExecutor:
     """Chunked process-pool execution (the paper's multiprocessing, for real).
 
-    Uses the module's persistent fork pools: the environment reaches workers
-    once through the pool initializer, and the pool itself outlives both
-    batches and engines (``shutdown()`` is a no-op;
-    :func:`shutdown_worker_pools` is the real teardown).
+    Uses the module's persistent fork pools: each chunk payload carries the
+    environment, and the pool itself outlives batches, environments and
+    engines (``shutdown()`` is a no-op; :func:`shutdown_worker_pools` is the
+    real teardown).
     """
 
     kind = "process"
@@ -537,7 +476,7 @@ class ProcessExecutor:
         chunks = _chunk(requests, self.max_workers)
         results: list["SimulationResult"] = []
         for chunk_result in _dispatch_to_pool(
-            self.max_workers, environment, _run_chunk_scalar, chunks
+            self.max_workers, environment, _execute_chunk, chunks
         ):
             results.extend(chunk_result)
         return results

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import acquisition
 from repro.core.acquisition import (
     crgp_ucb_beta,
     crgp_ucb_kappa,
@@ -131,6 +132,28 @@ class TestAcquisitionFunctions:
         scores = probability_of_improvement([0.0, 2.0], [1.0, 1.0], best=1.0)
         assert np.all((scores >= 0) & (scores <= 1))
         assert scores[1] > scores[0]
+
+    def test_ei_and_pi_match_scipy_stats_value_for_value(self):
+        # The acquisitions avoid importing scipy.stats (slow to import); their
+        # normal cdf/pdf must still equal scipy.stats.norm bit for bit.
+        from scipy import stats
+
+        rng = np.random.default_rng(0)
+        z = np.concatenate(
+            [rng.standard_normal(200_000), [0.0, 40.0, -40.0, np.inf, -np.inf, 1e-300]]
+        )
+        assert np.array_equal(acquisition._normal_pdf(z), stats.norm.pdf(z))
+        assert np.array_equal(acquisition.ndtr(z), stats.norm.cdf(z))
+        mean, std = rng.normal(size=1000), rng.uniform(0.01, 2.0, size=1000)
+        improvement = mean - 0.3 - 0.01
+        scaled = improvement / std
+        assert np.array_equal(
+            expected_improvement(mean, std, best=0.3),
+            improvement * stats.norm.cdf(scaled) + std * stats.norm.pdf(scaled),
+        )
+        assert np.array_equal(
+            probability_of_improvement(mean, std, best=0.3), stats.norm.cdf(scaled)
+        )
 
     def test_ucb_adds_scaled_uncertainty(self):
         scores = upper_confidence_bound([1.0], [0.5], beta=4.0)

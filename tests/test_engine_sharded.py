@@ -13,7 +13,8 @@ Four contracts are pinned here:
 * **Adaptive selection** — :func:`choose_executor` and the ``auto`` kind
   pick serial/vectorized for tiny batches and sharded/process for large
   batches on multi-core machines, and the persistent worker pools are
-  reused across batches and engines rather than respawned.
+  reused across batches, environments and engines rather than respawned,
+  and always run against the caller's current environment.
 """
 
 from __future__ import annotations
@@ -61,6 +62,30 @@ def _results_identical(a, b) -> bool:
         and a.ping_delay_ms == b.ping_delay_ms
         and a.stage_breakdown_ms == b.stage_breakdown_ms
     )
+
+
+class _OffsetEnvironment:
+    """A fingerprint-less environment whose latency offset is mutable.
+
+    ``run_requests`` runs each request through the scalar ``run`` so the
+    sharded executor dispatches it to the pool, and serial execution stays
+    the byte-identical reference for every executor kind.
+    """
+
+    def __init__(self, simulator):
+        self.simulator = simulator
+        self.offset_ms = 0.0
+
+    def run(self, config, traffic=None, duration=None, seed=None):
+        result = self.simulator.run(config, traffic=traffic, duration=duration, seed=seed)
+        result.latencies_ms = result.latencies_ms + self.offset_ms
+        return result
+
+    def run_requests(self, requests):
+        return [
+            self.run(request.config, request.traffic, request.duration, request.seed)
+            for request in requests
+        ]
 
 
 def _sharded_engine(environment, shards, max_workers=None, cache=False):
@@ -306,24 +331,41 @@ class TestPersistentPools:
         shutdown_worker_pools()
         assert pool_diagnostics()["live_pools"] == 0
 
-    def test_environment_change_reinitializes_the_pool_once(self, default_config):
+    def test_environment_change_reuses_the_pool(self, default_config):
         shutdown_worker_pools()
         scenario = Scenario(traffic=1, duration_s=10.0)
-        first = NetworkSimulator(scenario=scenario, seed=1)
-        second = NetworkSimulator(scenario=scenario, seed=2)
-        serial = MeasurementEngine(second, executor="serial", cache=False)
-        expected = serial.run_batch(_requests(default_config, n=4))
-        before = pool_diagnostics()["pools_reinitialized"]
-        MeasurementEngine(first, executor="process", max_workers=2, cache=False).run_batch(
-            _requests(default_config, n=4)
+        environments = [NetworkSimulator(scenario=scenario, seed=seed) for seed in (1, 2)]
+        created_before = pool_diagnostics()["pools_created"]
+        for environment in environments:
+            expected = MeasurementEngine(environment, executor="serial", cache=False).run_batch(
+                _requests(default_config, n=4)
+            )
+            results = MeasurementEngine(
+                environment, executor="process", max_workers=2, cache=False
+            ).run_batch(_requests(default_config, n=4))
+            # Each batch runs against its own environment, byte for byte.
+            for a, b in zip(expected, results):
+                assert _results_identical(a, b)
+        assert pool_diagnostics()["pools_created"] == created_before + 1
+        shutdown_worker_pools()
+
+    @pytest.mark.parametrize("kind", ["process", "sharded"])
+    def test_environment_mutated_in_place_is_never_stale(self, kind, default_config):
+        # No fingerprint(), same object every batch: workers must still see
+        # each batch's offset, not the one the pool first ran with.
+        shutdown_worker_pools()
+        environment = _OffsetEnvironment(
+            NetworkSimulator(scenario=Scenario(traffic=1, duration_s=10.0), seed=3)
         )
-        engine = MeasurementEngine(second, executor="process", max_workers=2, cache=False)
-        results = engine.run_batch(_requests(default_config, n=4))
-        assert pool_diagnostics()["pools_reinitialized"] == before + 1
-        # The re-initialised workers hold the *new* environment: results are
-        # byte-identical to serial execution against it.
-        for a, b in zip(expected, results):
-            assert _results_identical(a, b)
+        engine = MeasurementEngine(environment, executor=kind, max_workers=2, cache=False)
+        if kind == "sharded":
+            engine.executor.shards = 2  # reach the pool even on one core
+        serial = MeasurementEngine(environment, executor="serial", cache=False)
+        for offset_ms in (0.0, 10.0, 20.0, 30.0):
+            environment.offset_ms = offset_ms
+            requests = _requests(default_config, n=4)
+            for a, b in zip(serial.run_batch(requests), engine.run_batch(requests)):
+                assert _results_identical(a, b)
         shutdown_worker_pools()
 
     def test_process_executor_still_byte_identical_after_initializer_move(

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.engine import available_parallelism, pool_diagnostics, shutdown_worker_pools
 from repro.engine.engine import MeasurementEngine
 from repro.engine.protocol import MeasurementRequest
 from repro.engine.replay import VectorReplayEnvironment
@@ -25,6 +26,7 @@ from repro.evalharness import (
     EvalRunner,
     canonical_metrics_bytes,
     check_coverage,
+    evaluate,
     load_cases,
     parse_cases_yaml,
     scaled_config,
@@ -350,3 +352,17 @@ class TestCrossExecutorIdentity:
         assert records["sharded"]["kind"] == "sharded"
         assert records["auto"]["kind"] == "auto"
         assert records["auto"]["resolved"] in ("serial", "vectorized", "sharded")
+
+
+class TestWorkerPoolReuse:
+    @pytest.mark.skipif(available_parallelism() < 2, reason="sharding needs 2 or more cores")
+    def test_eval_runs_every_environment_through_one_pool(self):
+        # The eval moves between many replay environments; none of them may
+        # respawn the worker pool.
+        shutdown_worker_pools()
+        before = pool_diagnostics()
+        evaluate(cases=load_cases()[:2], executor="sharded", max_workers=2)
+        after = pool_diagnostics()
+        assert after["pools_created"] - before["pools_created"] == 1
+        assert after["batches_dispatched"] - before["batches_dispatched"] > 1
+        shutdown_worker_pools()
