@@ -69,6 +69,11 @@ class _SampledNetwork:
 class BayesianNeuralNetwork:
     """Variational-Gaussian BNN regression model.
 
+    The posterior lives in one flat vector ``theta = [mu | rho]``; inside each
+    half every layer's weights are followed by its biases.  A training step
+    draws the noise of all Monte-Carlo samples at once and backpropagates them
+    as stacked ``(samples, batch, width)`` matmuls.
+
     Parameters
     ----------
     input_dim:
@@ -118,13 +123,9 @@ class BayesianNeuralNetwork:
         self._rng = np.random.default_rng(seed)
         self._x_scaler = StandardScaler()
         self._y_scaler = StandardScaler()
-        self.weight_mu: list[np.ndarray] = []
-        self.weight_rho: list[np.ndarray] = []
-        self.bias_mu: list[np.ndarray] = []
-        self.bias_rho: list[np.ndarray] = []
-        self._init_parameters()
-        parameters = self.weight_mu + self.bias_mu + self.weight_rho + self.bias_rho
-        self._optimizer = make_optimizer(optimizer, parameters, learning_rate)
+        self._n_params = sum(fan_in * fan_out + fan_out for fan_in, fan_out in self._layer_sizes())
+        self._theta = self._init_parameters()
+        self._optimizer = make_optimizer(optimizer, [self._theta], learning_rate)
         self.loss_history: list[float] = []
         self._fitted = False
 
@@ -133,29 +134,57 @@ class BayesianNeuralNetwork:
         dims = [self.input_dim, *self.hidden_layers, self.output_dim]
         return list(zip(dims[:-1], dims[1:]))
 
-    def _init_parameters(self) -> None:
-        initial_rho = -4.0  # softplus(-4) ~ 0.018: small initial posterior std
+    def _init_parameters(self) -> np.ndarray:
+        theta = np.zeros(2 * self._n_params)
+        theta[self._n_params :] = -4.0  # softplus(-4) ~ 0.018: small initial posterior std
+        for weight in self._unflatten(theta[: self._n_params])[0]:
+            weight[...] = self._rng.normal(0.0, np.sqrt(2.0 / weight.shape[0]), size=weight.shape)
+        return theta
+
+    def _unflatten(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of one ``mu``/``rho``-shaped vector.
+
+        A leading sample axis is kept: ``flat`` of shape ``(S, P)`` yields
+        ``(S, fan_in, fan_out)`` weights and ``(S, 1, fan_out)`` biases.
+        """
+        lead = flat.shape[:-1]
+        bias_lead = (*lead, 1) if lead else ()
+        weights, biases = [], []
+        start = 0
         for fan_in, fan_out in self._layer_sizes():
-            limit = np.sqrt(2.0 / fan_in)
-            self.weight_mu.append(self._rng.normal(0.0, limit, size=(fan_in, fan_out)))
-            self.weight_rho.append(np.full((fan_in, fan_out), initial_rho))
-            self.bias_mu.append(np.zeros(fan_out))
-            self.bias_rho.append(np.full(fan_out, initial_rho))
+            stop = start + fan_in * fan_out
+            weights.append(flat[..., start:stop].reshape(*lead, fan_in, fan_out))
+            biases.append(flat[..., stop : stop + fan_out].reshape(*bias_lead, fan_out))
+            start = stop + fan_out
+        return weights, biases
+
+    # The per-layer parameters are rebuilt as views of ``_theta`` on every
+    # access: stored views would silently detach from it under copy/pickle.
+    @property
+    def weight_mu(self) -> list[np.ndarray]:
+        """Per-layer weight means (views of the flat parameter vector)."""
+        return self._unflatten(self._theta[: self._n_params])[0]
+
+    @property
+    def bias_mu(self) -> list[np.ndarray]:
+        """Per-layer bias means (views of the flat parameter vector)."""
+        return self._unflatten(self._theta[: self._n_params])[1]
+
+    @property
+    def weight_rho(self) -> list[np.ndarray]:
+        """Per-layer weight ``rho`` (posterior std is ``softplus(rho)``)."""
+        return self._unflatten(self._theta[self._n_params :])[0]
+
+    @property
+    def bias_rho(self) -> list[np.ndarray]:
+        """Per-layer bias ``rho`` (posterior std is ``softplus(rho)``)."""
+        return self._unflatten(self._theta[self._n_params :])[1]
 
     # --------------------------------------------------------------- internals
-    def _sample_layer_weights(self) -> tuple[list, list, list, list]:
-        """Draw weights via the reparameterisation trick, keeping the noise."""
-        weights, biases, weight_eps, bias_eps = [], [], [], []
-        for w_mu, w_rho, b_mu, b_rho in zip(
-            self.weight_mu, self.weight_rho, self.bias_mu, self.bias_rho
-        ):
-            eps_w = self._rng.standard_normal(w_mu.shape)
-            eps_b = self._rng.standard_normal(b_mu.shape)
-            weights.append(w_mu + softplus(w_rho) * eps_w)
-            biases.append(b_mu + softplus(b_rho) * eps_b)
-            weight_eps.append(eps_w)
-            bias_eps.append(eps_b)
-        return weights, biases, weight_eps, bias_eps
+    def _sample_layer_weights(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Draw one weight set via the reparameterisation trick."""
+        mu, rho = self._theta[: self._n_params], self._theta[self._n_params :]
+        return self._unflatten(mu + softplus(rho) * self._rng.standard_normal(self._n_params))
 
     def _forward(
         self, inputs: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray]
@@ -171,47 +200,6 @@ class BayesianNeuralNetwork:
             activations.append(hidden)
         return hidden, activations, pre_activations
 
-    def _backward(
-        self,
-        output_grad: np.ndarray,
-        weights: list[np.ndarray],
-        activations: list[np.ndarray],
-        pre_activations: list[np.ndarray],
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        weight_grads = [np.zeros_like(w) for w in weights]
-        bias_grads = [np.zeros_like(b) for b in self.bias_mu]
-        grad = output_grad
-        for index in range(len(weights) - 1, -1, -1):
-            weight_grads[index] = activations[index].T @ grad
-            bias_grads[index] = grad.sum(axis=0)
-            if index > 0:
-                grad = (grad @ weights[index].T) * relu_grad(pre_activations[index - 1])
-        return weight_grads, bias_grads
-
-    def _kl_term_and_grads(self) -> tuple[float, list, list, list, list]:
-        """Closed-form KL(q || prior) and its gradients w.r.t. mu and rho."""
-        kl_total = 0.0
-        mu_w_grads, rho_w_grads, mu_b_grads, rho_b_grads = [], [], [], []
-        prior_var = self.prior_sigma**2
-        for w_mu, w_rho, b_mu, b_rho in zip(
-            self.weight_mu, self.weight_rho, self.bias_mu, self.bias_rho
-        ):
-            for mu, rho, mu_grads, rho_grads in (
-                (w_mu, w_rho, mu_w_grads, rho_w_grads),
-                (b_mu, b_rho, mu_b_grads, rho_b_grads),
-            ):
-                sigma = softplus(rho)
-                kl = np.sum(
-                    np.log(self.prior_sigma / sigma)
-                    + (sigma**2 + mu**2) / (2.0 * prior_var)
-                    - 0.5
-                )
-                kl_total += float(kl)
-                mu_grads.append(mu / prior_var)
-                d_sigma = sigma / prior_var - 1.0 / sigma
-                rho_grads.append(d_sigma * softplus_grad(rho))
-        return kl_total, mu_w_grads, rho_w_grads, mu_b_grads, rho_b_grads
-
     # -------------------------------------------------------------------- API
     def fit(
         self,
@@ -223,9 +211,16 @@ class BayesianNeuralNetwork:
     ) -> "BayesianNeuralNetwork":
         """Train the variational posterior on ``(inputs, targets)``."""
         x = np.atleast_2d(np.asarray(inputs, dtype=float))
-        y = np.asarray(targets, dtype=float).reshape(len(x), -1)
+        y = np.atleast_1d(np.asarray(targets, dtype=float))
+        if x.size == 0:
+            raise ValueError("cannot fit a BNN on an empty dataset")
+        if len(x) != len(y):
+            raise ValueError("inputs and targets have mismatched lengths")
+        y = y.reshape(len(x), -1)
         if x.shape[1] != self.input_dim:
             raise ValueError(f"expected {self.input_dim} input features, got {x.shape[1]}")
+        if y.shape[1] != self.output_dim:
+            raise ValueError(f"expected {self.output_dim} targets, got {y.shape[1]}")
         if reset_scalers or not self._x_scaler.is_fitted:
             self._x_scaler.fit(x)
             self._y_scaler.fit(y)
@@ -234,8 +229,23 @@ class BayesianNeuralNetwork:
         n_samples = len(x_std)
         batch_size = max(1, min(batch_size, n_samples))
         n_batches = int(np.ceil(n_samples / batch_size))
-        kl_weight = self.kl_weight if self.kl_weight is not None else 1.0 / max(n_samples, 1)
+        kl_weight = self.kl_weight if self.kl_weight is not None else 1.0 / n_samples
         noise_var = self.noise_sigma**2
+        prior_var = self.prior_sigma**2
+        scale = 1.0 / self.n_mc_samples
+
+        n_params = self._n_params
+        mu, rho = self._theta[:n_params], self._theta[n_params:]
+        eps = np.empty((self.n_mc_samples, n_params))
+        draws = np.empty_like(eps)
+        sample_grads = np.empty_like(eps)
+        gradient = np.empty_like(self._theta)
+        weights, biases = self._unflatten(draws)
+        weight_grads, bias_grads = self._unflatten(sample_grads)
+        # Sum the KL array by array (each layer's weights, then its biases), as
+        # rounding depends on how the terms are grouped.
+        bounds = np.cumsum([0] + [n for fi, fo in self._layer_sizes() for n in (fi * fo, fo)])
+        segments = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 
         for _ in range(epochs):
             order = self._rng.permutation(n_samples)
@@ -245,48 +255,29 @@ class BayesianNeuralNetwork:
                 batch_x = x_std[batch_idx]
                 batch_y = y_std[batch_idx]
 
-                mu_w_acc = [np.zeros_like(w) for w in self.weight_mu]
-                rho_w_acc = [np.zeros_like(w) for w in self.weight_rho]
-                mu_b_acc = [np.zeros_like(b) for b in self.bias_mu]
-                rho_b_acc = [np.zeros_like(b) for b in self.bias_rho]
-                batch_loss = 0.0
+                sigma = softplus(rho)
+                sigma_grad = softplus_grad(rho)
+                self._rng.standard_normal(out=eps)
+                np.add(mu, sigma * eps, out=draws)
+                prediction, activations, pre_activations = self._forward(batch_x, weights, biases)
+                error = prediction - batch_y
+                nll = np.sum(error**2, axis=(1, 2)) / (2.0 * noise_var)
+                grad = error / noise_var / len(batch_x) * n_samples / n_batches
+                for index in range(len(weights) - 1, -1, -1):
+                    np.matmul(activations[index].swapaxes(-1, -2), grad, out=weight_grads[index])
+                    grad.sum(axis=-2, keepdims=True, out=bias_grads[index])
+                    if index > 0:
+                        grad = (grad @ weights[index].swapaxes(-1, -2)) * relu_grad(pre_activations[index - 1])
 
-                for _ in range(self.n_mc_samples):
-                    weights, biases, weight_eps, bias_eps = self._sample_layer_weights()
-                    prediction, activations, pre_activations = self._forward(
-                        batch_x, weights, biases
-                    )
-                    error = prediction - batch_y
-                    nll = float(np.sum(error**2) / (2.0 * noise_var))
-                    batch_loss += nll
-                    output_grad = error / noise_var / len(batch_x) * n_samples / n_batches
-                    weight_grads, bias_grads = self._backward(
-                        output_grad, weights, activations, pre_activations
-                    )
-                    for layer in range(len(weights)):
-                        mu_w_acc[layer] += weight_grads[layer]
-                        rho_w_acc[layer] += (
-                            weight_grads[layer]
-                            * weight_eps[layer]
-                            * softplus_grad(self.weight_rho[layer])
-                        )
-                        mu_b_acc[layer] += bias_grads[layer]
-                        rho_b_acc[layer] += (
-                            bias_grads[layer]
-                            * bias_eps[layer]
-                            * softplus_grad(self.bias_rho[layer])
-                        )
-
-                scale = 1.0 / self.n_mc_samples
-                kl, kl_mu_w, kl_rho_w, kl_mu_b, kl_rho_b = self._kl_term_and_grads()
-                gradients = (
-                    [scale * g + kl_weight * k for g, k in zip(mu_w_acc, kl_mu_w)]
-                    + [scale * g + kl_weight * k for g, k in zip(mu_b_acc, kl_mu_b)]
-                    + [scale * g + kl_weight * k for g, k in zip(rho_w_acc, kl_rho_w)]
-                    + [scale * g + kl_weight * k for g, k in zip(rho_b_acc, kl_rho_b)]
-                )
-                self._optimizer.step(gradients)
-                epoch_loss += batch_loss * scale + kl_weight * kl
+                # Closed-form KL(q || prior) and its gradients w.r.t. mu and rho.
+                kl_terms = np.log(self.prior_sigma / sigma) + (sigma**2 + mu**2) / (2.0 * prior_var) - 0.5
+                kl = sum(float(kl_terms[segment].sum()) for segment in segments)
+                gradient[:n_params] = scale * sample_grads.sum(axis=0) + kl_weight * (mu / prior_var)
+                rho_grads = (sample_grads * eps * sigma_grad).sum(axis=0)
+                kl_rho_grads = (sigma / prior_var - 1.0 / sigma) * sigma_grad
+                gradient[n_params:] = scale * rho_grads + kl_weight * kl_rho_grads
+                self._optimizer.step([gradient])
+                epoch_loss += sum(nll.tolist()) * scale + kl_weight * kl
             self.loss_history.append(epoch_loss / n_samples)
         self._fitted = True
         return self
@@ -298,9 +289,7 @@ class BayesianNeuralNetwork:
         x_std = self._x_scaler.transform(x)
         draws = np.zeros((n_samples, len(x), self.output_dim))
         for index in range(n_samples):
-            weights, biases, _, _ = self._sample_layer_weights()
-            prediction, _, _ = self._forward(x_std, weights, biases)
-            draws[index] = prediction
+            draws[index] = self._forward(x_std, *self._sample_layer_weights())[0]
         mean_std_units = draws.mean(axis=0)
         std_std_units = draws.std(axis=0)
         mean = self._y_scaler.inverse_transform(mean_std_units)
@@ -312,7 +301,7 @@ class BayesianNeuralNetwork:
     def sample_function(self) -> _SampledNetwork:
         """Draw one deterministic function from the posterior (Thompson sampling)."""
         self._require_fitted()
-        weights, biases, _, _ = self._sample_layer_weights()
+        weights, biases = self._sample_layer_weights()
         return _SampledNetwork(weights, biases, self._x_scaler, self._y_scaler)
 
     def sample_predict(self, inputs) -> np.ndarray:
@@ -324,7 +313,7 @@ class BayesianNeuralNetwork:
         self._require_fitted()
         x = np.atleast_2d(np.asarray(inputs, dtype=float))
         x_std = self._x_scaler.transform(x)
-        prediction, _, _ = self._forward(x_std, self.weight_mu, self.bias_mu)
+        prediction = self._forward(x_std, self.weight_mu, self.bias_mu)[0]
         result = self._y_scaler.inverse_transform(prediction)
         return result[:, 0] if self.output_dim == 1 else result
 

@@ -2,7 +2,8 @@
 
 This is the deterministic counterpart of the Bayesian neural network used by
 Atlas.  It backs the DLDA baseline (teacher/student DNNs of [Shi et al.,
-NSDI'21]) and provides the forward/backward machinery reused by the BNN.
+NSDI'21]).  The BNN reuses only its ``relu``/``relu_grad`` activations; it
+runs its own forward/backward passes, stacked over Monte-Carlo samples.
 Inputs and targets are standardised internally so callers can pass raw
 network configurations and latencies/QoEs.
 """
