@@ -10,16 +10,15 @@ Four subcommands cover the catalog workflow:
 ``run --scenario <name> --stage 1|2|3|all``
     Execute the Atlas pipeline on a catalog entry.  Stage budgets come from
     ``--scale`` (smoke / small / paper, the ``ATLAS_BENCH_SCALE`` levels)
-    and every measurement engine uses ``--executor`` (auto / serial /
-    thread / process / vectorized / sharded, the ``ATLAS_ENGINE_EXECUTOR``
-    kinds; ``auto`` — the default — picks per batch).  Multi-slice entries
-    measure all slices concurrently under resource contention before and
-    after optimisation; dynamic entries replay their traffic trace during
-    online learning.  On hostile entries ``--faults guarded`` runs stage 3
-    under the :mod:`repro.core.watchdog` safe-mode watchdog with the
-    scenario's fault schedule injected, and ``--faults unprotected`` runs
-    the bare learner through the same faults for comparison — see
-    ``docs/robustness.md``.
+    and every measurement engine uses ``--executor`` (auto / vectorized /
+    sharded, the ``ATLAS_ENGINE_EXECUTOR`` kinds; ``auto`` — the default —
+    picks per batch).  Multi-slice entries measure all slices concurrently
+    under resource contention before and after optimisation; dynamic
+    entries replay their traffic trace during online learning.  On hostile
+    entries ``--faults guarded`` runs stage 3 under the
+    :mod:`repro.core.watchdog` safe-mode watchdog with the scenario's fault
+    schedule injected, and ``--faults unprotected`` runs the bare learner
+    through the same faults for comparison — see ``docs/robustness.md``.
 ``eval``
     Replay the curated evaluation dataset over the whole catalog, score
     every run with the :mod:`repro.metrics` scorers, write the structured
@@ -69,7 +68,7 @@ from repro.core.offline_training import OfflineConfigurationTrainer, OfflineTrai
 from repro.core.online_learning import OnlineConfigurationLearner, OnlineLearningConfig
 from repro.core.simulator_learning import ParameterSearchConfig, SimulatorParameterSearch
 from repro.core.spaces import SimulationParameterSpace
-from repro.engine.executors import EXECUTOR_ENV_VAR, EXECUTOR_KINDS
+from repro.engine.executors import EXECUTOR_ENV_VAR, EXECUTOR_KINDS, default_executor_kind
 from repro.experiments.scale import SCALES, ExperimentScale, get_scale
 from repro.experiments.scenarios import collect_online_dataset
 from repro.scenarios import (
@@ -679,8 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "measurement-engine executor (default: the ATLAS_ENGINE_EXECUTOR env var, then "
-            "'auto' — adaptive per-batch selection; 'sharded' composes the process and "
-            "vectorized speedups)"
+            "'auto' — adaptive per-batch vectorized/sharded selection; every kind "
+            "produces identical results)"
         ),
     )
     run_parser.add_argument("--seed", type=int, default=0, help="base random seed (default: 0)")
@@ -737,9 +736,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(sorted(EXECUTOR_KINDS)),
         default=None,
         help=(
-            "measurement-engine executor; the replay pins one numerics family, so the "
-            "choice cannot change any metric (default: the ATLAS_ENGINE_EXECUTOR env "
-            "var, then 'auto')"
+            "measurement-engine executor; every kind produces identical results, so "
+            "the choice cannot change any metric (default: the ATLAS_ENGINE_EXECUTOR "
+            "env var, then 'auto')"
         ),
     )
     eval_parser.add_argument(
@@ -860,6 +859,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point: parse arguments and dispatch to the chosen subcommand."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.handler in (cmd_run, cmd_eval, cmd_serve) and getattr(args, "executor", None) is None:
+        # These build engines in this process from ATLAS_ENGINE_EXECUTOR;
+        # reject a bad value here instead of deep inside the first stage.
+        try:
+            default_executor_kind()
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     try:
         return args.handler(args)
     except UnknownScenarioError as error:

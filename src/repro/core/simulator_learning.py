@@ -15,10 +15,10 @@ where ``D_r`` is the online latency collection from the real network and
   thousands of candidates per query slot, and
 * parallel queries per iteration: the queries of one iteration are submitted
   as one batch to the :class:`~repro.engine.engine.MeasurementEngine`, which
-  executes them through its configured executor (serial, thread or
-  multiprocessing, as in the paper).  The surrogate is only refreshed
-  between iterations, so the algorithmic behaviour is independent of the
-  executor.
+  executes them as one vectorized pass (sharded across worker processes
+  when the batch is large enough — the paper's multiprocessing).  The
+  surrogate is only refreshed between iterations, so the algorithmic
+  behaviour is independent of the executor.
 
 A GP + expected-improvement variant is provided for the "GP" comparison of
 Fig. 8 and Table 4.

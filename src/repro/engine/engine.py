@@ -3,19 +3,17 @@
 :class:`MeasurementEngine` is the single execution layer every environment
 consumer (stages 1–3, the baselines and the experiment runners) submits its
 measurements through.  It accepts batches of
-:class:`~repro.engine.protocol.MeasurementRequest`, executes them through a
-pluggable executor (``auto`` — the adaptive default — ``serial``,
-``thread``, ``process``, ``vectorized`` or ``sharded``) and memoises the
-results in a content-keyed cache.
+:class:`~repro.engine.protocol.MeasurementRequest`, executes them through an
+executor (``auto`` — the adaptive default — ``vectorized`` or ``sharded``)
+and memoises the results in a content-keyed cache.
 
 Determinism
     ``seed=None`` requests are resolved from a per-engine
     :class:`numpy.random.SeedSequence` stream *before* dispatch, so the same
-    batch produces byte-identical results under every scalar executor kind
-    (``vectorized`` results are per-request reproducible too, but follow the
-    batch path's own statistically-equivalent numerics — see
-    :mod:`repro.sim.batch`) and the racy run-counter idiom the simulator
-    previously used never crosses a process boundary.
+    batch produces byte-identical results under every executor kind (each
+    lane of :mod:`repro.sim.batch` draws only from its own request seed) and
+    the racy run-counter idiom the simulator previously used never crosses
+    a process boundary.
 
 Side effects
     Environments that mutate state per measurement (the real network logs
@@ -27,7 +25,6 @@ Side effects
 
 from __future__ import annotations
 
-import weakref
 from threading import Lock
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -107,24 +104,22 @@ class MeasurementEngine:
         Any :class:`~repro.engine.protocol.Environment` (the simulator or the
         real network).
     executor:
-        ``"auto"`` (the default), ``"serial"``, ``"thread"``, ``"process"``,
-        ``"vectorized"`` or ``"sharded"``; ``None`` picks the kind selected
-        by the ``ATLAS_ENGINE_EXECUTOR`` environment variable, falling back
-        to ``auto`` — the adaptive policy of
-        :func:`repro.engine.executors.choose_executor`, which picks
-        serial / vectorized / sharded / process per batch from the batch
-        shape, the usable cores and the environment's capabilities.
-        ``vectorized`` collapses each batch into one NumPy pass over the
-        environment's ``run_requests`` hook; ``sharded`` runs that pass
-        inside each process-pool worker so the multi-core and vectorized
-        speedups multiply.  Custom kinds can be registered via
-        :func:`repro.engine.executors.register_executor`.
+        ``"auto"`` (the default), ``"vectorized"`` or ``"sharded"``;
+        ``None`` picks the kind selected by the ``ATLAS_ENGINE_EXECUTOR``
+        environment variable, falling back to ``auto`` — the adaptive policy
+        of :func:`repro.engine.executors.choose_executor`, which picks
+        vectorized or sharded per batch from the batch shape, the usable
+        cores and the environment's capabilities.  ``vectorized`` collapses
+        each batch into one NumPy pass over the environment's
+        ``run_requests`` hook; ``sharded`` runs that pass inside each
+        process-pool worker so the multi-core and vectorized speedups
+        multiply.  All kinds produce byte-identical results.
     max_workers:
-        Parallel workers of the thread/process/sharded executors (and the
-        concurrency cap of ``auto``'s per-batch choice).  Defaults to the
-        machine's available parallelism; stages pass their
-        ``parallel_queries`` budget here so the paper's scale knobs map
-        directly onto real concurrency.
+        Parallel workers of the sharded executor (and the concurrency cap
+        of ``auto``'s per-batch choice).  Defaults to the machine's
+        available parallelism; stages pass their ``parallel_queries``
+        budget here so the paper's scale knobs map directly onto real
+        concurrency.
     cache:
         ``True`` (default) uses the process-wide shared cache, ``False``
         disables caching, and a :class:`MeasurementCache` instance gives the
@@ -154,10 +149,6 @@ class MeasurementEngine:
             self._cache = cache
         self._seed_sequence = np.random.SeedSequence(int(seed))
         self._executor = make_executor(self.executor_kind, self.max_workers)
-        # Engines are routinely created per stage/experiment and dropped
-        # without an explicit shutdown(); release any lazily spawned
-        # thread/process pool when the engine is garbage collected.
-        self._finalizer = weakref.finalize(self, self._executor.shutdown)
         #: Measurements actually executed (cache hits excluded).
         self.executed_requests = 0
         #: Batches submitted through :meth:`run_batch`.
@@ -192,19 +183,9 @@ class MeasurementEngine:
             self._cache.clear()
 
     def _cache_key(self, environment: Environment, request: MeasurementRequest) -> tuple:
-        # Keys carry the executor's numerics family: the scalar kinds
-        # (serial/thread/process) are byte-identical and share entries, but
-        # the vectorized family's statistically-equivalent results (the
-        # vectorized and sharded kinds, byte-identical to each other) must
-        # never be served to a scalar engine (or vice versa) through the
-        # process-wide shared cache.  Adaptive executors expose ``numerics``
-        # as a callable of the environment — the family must be fixed before
-        # cache lookup, so it can depend on the environment's capabilities
-        # but never on the batch shape.
-        numerics = getattr(self._executor, "numerics", "scalar")
-        if callable(numerics):
-            numerics = numerics(environment)
-        return (environment.fingerprint(), request.key(), numerics)
+        # Every executor kind produces the same bytes, so the result is a
+        # function of the environment and the request alone.
+        return (environment.fingerprint(), request.key())
 
     # ----------------------------------------------------------------- seeding
     def _next_auto_seed(self) -> int:
@@ -295,8 +276,7 @@ class MeasurementEngine:
     def shutdown(self) -> None:
         """Release engine-owned executor resources.
 
-        Thread pools are torn down (and lazily re-created on reuse); the
-        process pools backing the ``process``/``sharded`` kinds are shared
+        The process pools backing the ``sharded`` kind are shared
         process-wide and deliberately stay warm — see
         :func:`repro.engine.executors.shutdown_worker_pools` for the real
         teardown.

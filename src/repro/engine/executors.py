@@ -1,36 +1,31 @@
-"""Pluggable request executors: serial, thread, process, vectorized, sharded, auto.
+"""Request executors: vectorized, sharded and the adaptive auto policy.
 
-The scalar pool kinds follow the loky/``concurrent.futures`` idiom the paper
-relies on for its multiprocessing: requests are split into contiguous chunks
-(one per worker) and results are returned in submission order.  Every
-request carries an explicit seed by the time it reaches an executor (the
-engine resolves ``seed=None`` beforehand), so execution is embarrassingly
-parallel and byte-identical across the serial/thread/process kinds.
+Every executor evaluates a batch through the environment's NumPy batch path
+(``run_requests``): instead of spreading N slow discrete-event runs across
+workers, the whole batch becomes one :func:`repro.sim.batch.simulate_batch`
+pass, which makes the work itself fast.  The scalar discrete-event path
+(:meth:`repro.sim.network.NetworkSimulator.run`) is not an executor; it is
+the reference oracle the vectorized path is tested against (see
+:mod:`repro.sim.batch` for the numerical contract).  An environment without
+``run_requests`` is executed in-process, one request at a time, through
+:func:`execute_one`.
 
-The vectorized executor takes the orthogonal route: instead of spreading N
-slow scalar runs across workers it hands the whole batch to the
-environment's NumPy batch path (``run_requests``), which makes the work
-itself fast — typically well past the multi-core speedup of the process
-pool, on a single core.  Its results are statistically equivalent to (not
-byte-identical with) the scalar kinds; see :mod:`repro.sim.batch`.
+The sharded executor splits one large batch into per-worker shards and
+every worker process runs the vectorized pass over its shard, so the
+multi-core and vectorized speedups multiply instead of competing.  Because
+each lane of :func:`repro.sim.batch.simulate_batch` draws from its own
+seed-derived stream, a sharded batch is byte-identical to the whole-batch
+vectorized pass: every executor kind produces the same bytes, so the
+engine cache is keyed on the environment and the request alone.
 
-The sharded executor composes the two: one large batch is split into
-per-worker shards and every worker process runs the *vectorized* pass over
-its shard, so the ~N× multi-core and ~50× vectorized speedups multiply
-instead of competing.  Because each lane of :func:`repro.sim.batch.simulate_batch`
-draws from its own seed-derived stream, a sharded batch is byte-identical
-to the whole-batch vectorized pass — the two share the ``vectorized``
-numerics family in the engine cache.
-
-Two design points make the parallel kinds actually pay (the original
-process executor *lost* to serial — see the post-mortem in
+Two design points make sharding actually pay (see the post-mortem in
 ``docs/performance.md``):
 
 * process pools are persistent and shared process-wide (keyed on worker
   count only), surviving batches, environment changes,
   ``MeasurementEngine.shutdown()`` and engine garbage collection — the
-  environment travels inside each shard/chunk payload (a few kB), so a
-  batch against a new environment never respawns the pool;
+  environment travels inside each shard payload (a few kB), so a batch
+  against a new environment never respawns the pool;
   :func:`shutdown_worker_pools` (registered ``atexit``) is the real
   teardown, and :func:`pool_diagnostics` exposes the creation/dispatch
   counters the throughput benchmark records;
@@ -39,9 +34,9 @@ process executor *lost* to serial — see the post-mortem in
   of per-request ``SimulationResult`` objects.
 
 Finally, :func:`choose_executor` is the adaptive selection policy — pick
-serial / vectorized / sharded / process from the batch shape, the usable
-core count and the environment's capabilities — and the ``auto`` executor
-kind (the default) applies it per batch.
+vectorized or sharded from the batch shape, the usable core count and the
+environment's capabilities — and the ``auto`` executor kind (the default)
+applies it per batch.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ import atexit
 import multiprocessing
 import os
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -66,11 +61,7 @@ __all__ = [
     "default_executor_kind",
     "make_executor",
     "pool_diagnostics",
-    "register_executor",
     "shutdown_worker_pools",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "VectorizedExecutor",
     "ShardedExecutor",
     "AutoExecutor",
@@ -79,20 +70,15 @@ __all__ = [
 
 #: Environment variable selecting the default executor of new engines.
 #: Recognised values are the keys of :data:`EXECUTOR_KINDS` (``auto``,
-#: ``serial``, ``thread``, ``process``, ``vectorized``, ``sharded`` plus
-#: anything added via :func:`register_executor`); unset means ``auto``.  It
-#: is read each time an engine is constructed without an explicit
-#: ``executor`` argument, so it can be flipped mid-process (the CLI's
-#: ``--executor`` flag does exactly that around a run).
+#: ``sharded``, ``vectorized``); unset means ``auto``.  It is read each time
+#: an engine is constructed without an explicit ``executor`` argument, so it
+#: can be flipped mid-process (the CLI's ``--executor`` flag does exactly
+#: that around a run).
 EXECUTOR_ENV_VAR = "ATLAS_ENGINE_EXECUTOR"
 
 #: Fewest vectorized lanes per shard that amortise one process dispatch;
 #: below this the batch runs as a single whole-batch vectorized pass.
 _MIN_SHARD_LANES = 4
-
-#: Fewest scalar requests that amortise a process-pool dispatch under the
-#: adaptive policy; smaller batches run serially.
-_MIN_PROCESS_BATCH = 4
 
 
 def available_parallelism() -> int:
@@ -108,21 +94,18 @@ def default_executor_kind() -> str:
 
     Reads ``ATLAS_ENGINE_EXECUTOR`` (case-insensitive, surrounding
     whitespace ignored) and defaults to ``auto`` — the adaptive policy of
-    :func:`choose_executor`, which picks serial / vectorized / sharded /
-    process per batch from the batch size, the usable cores and the
-    environment's capabilities.  Set the variable to pin one kind
-    process-wide instead: ``serial`` is the deterministic scalar reference,
-    ``process`` spreads scalar runs across cores (byte-identical to serial),
-    ``vectorized`` collapses each batch into one NumPy pass, and ``sharded``
-    runs the vectorized pass inside each process-pool worker (byte-identical
-    to ``vectorized``).  A value that names no registered executor kind
-    raises ``ValueError`` at engine construction rather than silently
-    falling back.
+    :func:`choose_executor`, which picks vectorized or sharded per batch
+    from the batch size, the usable cores and the environment's
+    capabilities.  Set the variable to pin one kind process-wide instead:
+    ``vectorized`` collapses each batch into one in-process NumPy pass, and
+    ``sharded`` runs that pass inside each process-pool worker
+    (byte-identical to ``vectorized``).  A value that names no executor
+    kind raises ``ValueError`` rather than silently falling back.
     """
     kind = os.environ.get(EXECUTOR_ENV_VAR, "auto").strip().lower()
     if kind not in EXECUTOR_KINDS:
         raise ValueError(
-            f"{EXECUTOR_ENV_VAR}={kind!r} is not a registered executor kind; "
+            f"{EXECUTOR_ENV_VAR}={kind!r} is not an executor kind; "
             f"expected one of {sorted(EXECUTOR_KINDS)}"
         )
     return kind
@@ -136,34 +119,27 @@ def choose_executor(
     The policy the ``auto`` kind applies per batch (after cache hits are
     served, so ``batch_size`` is the work that remains):
 
-    ========================  =========  ==========  ============
+    ========================  =========  ==========  ==============
     environment               batch      cores       choice
-    ========================  =========  ==========  ============
+    ========================  =========  ==========  ==============
     has ``run_requests``      ≥ 8        ≥ 2         ``sharded``
-    has ``run_requests``      any other  any         ``vectorized``
-    scalar-only               ≥ 4        ≥ 2         ``process``
-    scalar-only               any other  any         ``serial``
-    ========================  =========  ==========  ============
+    any                       any other  any         ``vectorized``
+    ========================  =========  ==========  ==============
 
-    Vector-capable environments always resolve to the ``vectorized``
-    numerics family (sharded results are byte-identical to whole-batch
-    vectorized results), scalar-only environments to the ``scalar`` family —
-    so the choice never splits one environment's results across cache
-    families.  ``cores`` defaults to :func:`available_parallelism`;
-    ``environment=None`` assumes a vector-capable environment.
+    An environment without ``run_requests`` has nothing to shard, so it
+    always resolves to ``vectorized``, whose in-process :func:`execute_one`
+    fallback runs it.  Both kinds produce byte-identical results, so the
+    choice never affects what the cache stores.  ``cores`` defaults to
+    :func:`available_parallelism`; ``environment=None`` assumes a
+    vector-capable environment.
     """
-    batch_size = int(batch_size)
     cores = available_parallelism() if cores is None else max(1, int(cores))
     vector_capable = (
         environment is None or getattr(environment, "run_requests", None) is not None
     )
-    if vector_capable:
-        if cores >= 2 and batch_size >= 2 * _MIN_SHARD_LANES:
-            return "sharded"
-        return "vectorized"
-    if cores >= 2 and batch_size >= _MIN_PROCESS_BATCH:
-        return "process"
-    return "serial"
+    if vector_capable and cores >= 2 and int(batch_size) >= 2 * _MIN_SHARD_LANES:
+        return "sharded"
+    return "vectorized"
 
 
 def execute_one(environment: "Environment", request: "MeasurementRequest") -> "SimulationResult":
@@ -193,12 +169,6 @@ def execute_one(environment: "Environment", request: "MeasurementRequest") -> "S
 
 
 # --------------------------------------------------------------- worker side
-def _execute_chunk(payload: tuple["Environment", list["MeasurementRequest"]]) -> list:
-    """Thread/process-pool entry point: scalar-execute one chunk of requests."""
-    environment, requests = payload
-    return [execute_one(environment, request) for request in requests]
-
-
 def _run_shard_vectorized(payload: tuple["Environment", list["MeasurementRequest"]]) -> tuple:
     """Process-pool entry point: vectorized-execute one shard, packed return."""
     environment, requests = payload
@@ -306,8 +276,8 @@ def _unpack_results(payload: tuple, requests: list["MeasurementRequest"]) -> lis
 
 
 # ------------------------------------------------------- persistent pools
-#: Live process pools keyed on worker count; shared by every ProcessExecutor
-#: and ShardedExecutor in the process so pools survive engine churn.
+#: Live process pools keyed on worker count; shared by every ShardedExecutor
+#: in the process so pools survive engine churn.
 _PROCESS_POOLS: dict[int, Executor] = {}
 _POOL_LOCK = threading.Lock()
 #: Cumulative pool accounting, surfaced by :func:`pool_diagnostics` and
@@ -340,12 +310,9 @@ def _discard_pool(max_workers: int) -> None:
 
 
 def _dispatch_to_pool(
-    max_workers: int,
-    environment: "Environment",
-    worker_fn: Callable,
-    chunks: list[list["MeasurementRequest"]],
+    max_workers: int, environment: "Environment", shards: list[list["MeasurementRequest"]]
 ) -> list:
-    """Map ``(environment, chunk)`` payloads over the persistent pool.
+    """Map ``(environment, shard)`` payloads over the persistent pool.
 
     The environment is pickled into every payload, so workers always run
     against the caller's current environment — including one mutated in
@@ -353,7 +320,9 @@ def _dispatch_to_pool(
     """
     pool = _acquire_process_pool(max_workers)
     try:
-        return list(pool.map(worker_fn, [(environment, chunk) for chunk in chunks]))
+        return list(
+            pool.map(_run_shard_vectorized, [(environment, shard) for shard in shards])
+        )
     except BrokenProcessPool:
         _discard_pool(max_workers)
         raise
@@ -382,109 +351,6 @@ atexit.register(shutdown_worker_pools)
 
 
 # ------------------------------------------------------------ executor kinds
-class SerialExecutor:
-    """Run every request in the calling thread (the deterministic reference)."""
-
-    kind = "serial"
-    #: Result family for cache keying: all scalar kinds are byte-identical
-    #: and may share cache entries; the vectorized kinds declare their own.
-    numerics = "scalar"
-
-    def __init__(self, max_workers: int = 1) -> None:
-        self.max_workers = 1
-
-    def map_requests(
-        self, environment: "Environment", requests: Sequence["MeasurementRequest"]
-    ) -> list["SimulationResult"]:
-        """Execute ``requests`` in order and return their results."""
-        return [execute_one(environment, request) for request in requests]
-
-    def shutdown(self) -> None:
-        """Nothing to release."""
-
-
-class ThreadExecutor:
-    """Thread-pool execution: useful for I/O-bound or GIL-releasing environments."""
-
-    kind = "thread"
-    numerics = "scalar"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max(1, int(max_workers) if max_workers else available_parallelism())
-        self._pool: Executor | None = None
-
-    def _ensure_pool(self) -> Executor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-        return self._pool
-
-    def map_requests(
-        self, environment: "Environment", requests: Sequence["MeasurementRequest"]
-    ) -> list["SimulationResult"]:
-        """Execute ``requests`` across the pool, preserving submission order.
-
-        Batches the cache fully served (empty) or reduced to one request
-        never touch — or lazily create — the pool.  Threads share the
-        calling process's memory, so the environment rides along in the
-        chunk payload at zero serialisation cost.
-        """
-        requests = list(requests)
-        if len(requests) <= 1:
-            return [execute_one(environment, request) for request in requests]
-        pool = self._ensure_pool()
-        payloads = [(environment, chunk) for chunk in _chunk(requests, self.max_workers)]
-        results: list["SimulationResult"] = []
-        for chunk_result in pool.map(_execute_chunk, payloads):
-            results.extend(chunk_result)
-        return results
-
-    def shutdown(self) -> None:
-        """Tear down the thread pool (a later batch lazily re-creates it)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-class ProcessExecutor:
-    """Chunked process-pool execution (the paper's multiprocessing, for real).
-
-    Uses the module's persistent fork pools: each chunk payload carries the
-    environment, and the pool itself outlives batches, environments and
-    engines (``shutdown()`` is a no-op; :func:`shutdown_worker_pools` is the
-    real teardown).
-    """
-
-    kind = "process"
-    numerics = "scalar"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self.max_workers = max(1, int(max_workers) if max_workers else available_parallelism())
-
-    def map_requests(
-        self, environment: "Environment", requests: Sequence["MeasurementRequest"]
-    ) -> list["SimulationResult"]:
-        """Execute ``requests`` across the persistent pool in submission order.
-
-        Fully-cached (empty) and single-request batches bypass the pool
-        entirely — they neither spawn nor touch it.
-        """
-        requests = list(requests)
-        if not requests:
-            return []
-        if len(requests) == 1:
-            return [execute_one(environment, requests[0])]
-        chunks = _chunk(requests, self.max_workers)
-        results: list["SimulationResult"] = []
-        for chunk_result in _dispatch_to_pool(
-            self.max_workers, environment, _execute_chunk, chunks
-        ):
-            results.extend(chunk_result)
-        return results
-
-    def shutdown(self) -> None:
-        """No-op: the backing pool is shared and persists across engines."""
-
-
 class VectorizedExecutor:
     """Route whole engine batches into one vectorized environment pass.
 
@@ -495,23 +361,11 @@ class VectorizedExecutor:
     event loops.  The engine has already served cache hits before the batch
     reaches the executor, so partial hits shrink the vectorized pass.
     Environments without the hook (after their ``prepare_batch`` resolution,
-    the real network resolves to the simulator and *does* have it) fall back
-    to scalar in-order execution, which keeps ``ATLAS_ENGINE_EXECUTOR=vectorized``
-    safe process-wide.
-
-    Unlike thread/process execution, vectorized results are statistically
-    equivalent to — not byte-identical with — the scalar path; see
-    :mod:`repro.sim.batch` for the numerical contract.
+    the real network resolves to the simulator and *does* have it) run in
+    order, in-process, through :func:`execute_one`.
     """
 
     kind = "vectorized"
-    #: Vectorized results are statistically equivalent to — not
-    #: byte-identical with — the scalar kinds, so the engine keys cache
-    #: entries per numerics family and the two never serve each other.
-    #: The sharded kind shares this family: per-lane results are invariant
-    #: to batch composition, so sharded == whole-batch vectorized, byte for
-    #: byte.
-    numerics = "vectorized"
 
     def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = 1
@@ -519,7 +373,7 @@ class VectorizedExecutor:
     def map_requests(
         self, environment: "Environment", requests: Sequence["MeasurementRequest"]
     ) -> list["SimulationResult"]:
-        """Execute ``requests`` as one vectorized batch (scalar fallback)."""
+        """Execute ``requests`` as one vectorized batch (in-order fallback)."""
         requests = list(requests)
         run_requests = getattr(environment, "run_requests", None)
         if run_requests is None:
@@ -534,19 +388,19 @@ class ShardedExecutor:
     """Parallel-vectorized execution: one vectorized pass per worker shard.
 
     Splits a batch into at most ``max_workers`` contiguous shards and runs
-    :meth:`VectorizedExecutor`-style ``run_requests`` passes concurrently in
+    :class:`VectorizedExecutor`-style ``run_requests`` passes concurrently in
     the persistent process pool, so the multi-core and vectorized speedups
     multiply.  Because every lane of :func:`repro.sim.batch.simulate_batch`
     draws only from its own seed-derived stream, the sharded results are
     byte-identical to one whole-batch vectorized pass over the same
-    requests — hence the shared ``vectorized`` numerics family.
+    requests.
 
     Degenerate cases stay cheap: on a single usable core, or when the batch
     is too small to amortise process dispatch (fewer than
     ``_MIN_SHARD_LANES`` lanes per shard), the batch runs as one in-process
     vectorized pass with no pool involved.  Environments without
-    ``run_requests`` fall back to scalar in-order execution, mirroring the
-    vectorized kind.
+    ``run_requests`` run in-process through :func:`execute_one`, mirroring
+    the vectorized kind.
 
     ``shards`` is a testing/tuning override: set it to force an exact shard
     count regardless of batch shape and core count (``None`` plans
@@ -555,7 +409,6 @@ class ShardedExecutor:
     """
 
     kind = "sharded"
-    numerics = "vectorized"
 
     def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max(1, int(max_workers) if max_workers else available_parallelism())
@@ -589,9 +442,7 @@ class ShardedExecutor:
         if n_shards <= 1:
             return run_requests(requests)
         shards = _chunk(requests, n_shards)
-        payloads = _dispatch_to_pool(
-            self.max_workers, environment, _run_shard_vectorized, shards
-        )
+        payloads = _dispatch_to_pool(self.max_workers, environment, shards)
         results: list["SimulationResult"] = []
         for shard, payload in zip(shards, payloads):
             results.extend(_unpack_results(payload, shard))
@@ -604,35 +455,21 @@ class ShardedExecutor:
 class AutoExecutor:
     """Adaptive executor: apply :func:`choose_executor` to every batch.
 
-    Delegates each batch to serial / vectorized / sharded / process based on
-    the surviving batch size (cache hits are already served), the usable
-    cores (capped by ``max_workers``, so the stages' ``parallel_queries``
-    budget bounds real concurrency) and whether the environment offers the
-    vectorized ``run_requests`` hook.  The cache numerics family depends
-    only on the environment — vector-capable environments always produce
-    ``vectorized``-family results, scalar-only environments ``scalar`` — so
-    adaptivity never splits one environment's results across families.
-    ``last_choice`` records the most recent batch's decision.
+    Delegates each batch to its vectorized or sharded delegate based on the
+    surviving batch size (cache hits are already served), the usable cores
+    (capped by ``max_workers``, so the stages' ``parallel_queries`` budget
+    bounds real concurrency) and whether the environment offers the
+    vectorized ``run_requests`` hook.  ``last_choice`` records the most
+    recent batch's decision.
     """
 
     kind = "auto"
 
     def __init__(self, max_workers: int | None = None) -> None:
         self.max_workers = max(1, int(max_workers) if max_workers else available_parallelism())
-        self._delegates: dict[str, object] = {}
+        self.vectorized = VectorizedExecutor(self.max_workers)
+        self.sharded = ShardedExecutor(self.max_workers)
         self.last_choice: str | None = None
-
-    def numerics(self, environment: "Environment") -> str:
-        """Cache family of results this executor produces for ``environment``."""
-        if getattr(environment, "run_requests", None) is not None:
-            return "vectorized"
-        return "scalar"
-
-    def delegate(self, kind: str):
-        """The lazily-built inner executor registered under ``kind``."""
-        if kind not in self._delegates:
-            self._delegates[kind] = make_executor(kind, self.max_workers)
-        return self._delegates[kind]
 
     def map_requests(
         self, environment: "Environment", requests: Sequence["MeasurementRequest"]
@@ -647,32 +484,23 @@ class AutoExecutor:
         self.last_choice = kind
         if not requests:
             return []
-        return self.delegate(kind).map_requests(environment, requests)
+        delegate = self.sharded if kind == "sharded" else self.vectorized
+        return delegate.map_requests(environment, requests)
 
     def shutdown(self) -> None:
-        """Release every delegate (shared process pools stay warm by design)."""
-        for delegate in self._delegates.values():
-            delegate.shutdown()
+        """Nothing to release: the shared process pools stay warm by design."""
 
 
-#: Registry of executor kinds; extendable via :func:`register_executor`.
+#: The executor kinds, by name.
 EXECUTOR_KINDS: dict[str, Callable[[int | None], object]] = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-    "vectorized": VectorizedExecutor,
-    "sharded": ShardedExecutor,
     "auto": AutoExecutor,
+    "sharded": ShardedExecutor,
+    "vectorized": VectorizedExecutor,
 }
 
 
-def register_executor(kind: str, factory: Callable[[int | None], object]) -> None:
-    """Register a custom executor factory under ``kind``."""
-    EXECUTOR_KINDS[str(kind)] = factory
-
-
 def make_executor(kind: str, max_workers: int | None = None):
-    """Instantiate the executor registered under ``kind``."""
+    """Instantiate the executor named ``kind``."""
     try:
         factory = EXECUTOR_KINDS[kind]
     except KeyError:

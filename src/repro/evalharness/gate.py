@@ -13,10 +13,9 @@ booleans:
 ``determinism``
     The first seed of every case is replayed a second time through a fresh
     runner and must reproduce byte-identical canonical metrics
-    (:func:`repro.evalharness.runner.canonical_metrics_bytes`).  Because
-    the runner pins every measurement to the vectorized numerics family,
-    this holds across *all* executor kinds — any mismatch means real
-    numerics drift (seed-stream coupling, batch-composition leakage, a
+    (:func:`repro.evalharness.runner.canonical_metrics_bytes`).  Every
+    executor kind produces the same bytes, so this holds across *all*
+    kinds — any mismatch means real numerics drift (seed-stream coupling, batch-composition leakage, a
     nondeterministic reduction), exactly the class of bug the sharded
     executor work made cheapest to introduce.
 

@@ -13,9 +13,9 @@ about bytes:
   (wall time, cache-tier hit split), present only when the caller passes
   one and deliberately *outside* the canonical section.
 * **Cross-executor identity** — the ``results`` section (every metric of
-  every case and seed) is byte-identical under the ``serial``,
-  ``vectorized``, ``sharded`` and ``auto`` executor kinds, because the
-  runner pins all measurements to one numerics family.  The *executor* that
+  every case and seed) is byte-identical under the ``vectorized``,
+  ``sharded`` and ``auto`` executor kinds, because every request carries an
+  explicit seed and each batch lane draws only from it.  The *executor* that
   produced each run is still recorded — in ``provenance`` and per seed run —
   so those fields live outside the canonical section.
   :func:`canonical_results_bytes` extracts exactly the bytes the

@@ -7,21 +7,17 @@ One :class:`EvalRunner` executes replay cases from the curated dataset
     <out>/<group>/<scenario>/seed=<S>/events.jsonl   # one line per measurement
 
 Determinism is the load-bearing property — the regression gate compares
-runs byte for byte — and rests on three decisions:
+runs byte for byte — and rests on two decisions:
 
-* every environment is wrapped in
-  :class:`~repro.engine.replay.VectorReplayEnvironment`, pinning all
-  measurements to the vectorized numerics family so the results are
-  *identical* under the ``serial``, ``vectorized``, ``sharded`` and
-  ``auto`` executor kinds (the per-lane seed-stream contract of
-  :mod:`repro.sim.batch`);
 * every measurement carries an explicit request seed derived from its
   ``(variant, step[, slice])`` coordinates by a fixed scheme, so results
-  never depend on batch composition, executor scheduling or cache state
-  (engines run with ``cache=False`` by default; a runner opened with a
-  persistent ``store`` instead shares one private store-backed cache
-  across its engines — safe *because* of the explicit seeds and the
-  replay pin, which make a cached entry byte-identical to recomputation);
+  never depend on batch composition, executor kind or cache state (each
+  lane of :mod:`repro.sim.batch` draws only from its own request seed, so
+  the ``vectorized``, ``sharded`` and ``auto`` kinds produce identical
+  bytes; engines run with ``cache=False`` by default, and a runner opened
+  with a persistent ``store`` instead shares one private store-backed
+  cache across its engines — safe *because* of the explicit seeds, which
+  make a cached entry byte-identical to recomputation);
 * environments are constructed fresh per ``(case, seed)``, so stateful
   hooks (the real network's domain-manager history) always start from the
   same state.
@@ -51,7 +47,6 @@ import numpy as np
 
 from repro.engine.engine import MeasurementEngine
 from repro.engine.protocol import MeasurementRequest
-from repro.engine.replay import VectorReplayEnvironment
 from repro.evalharness.dataset import EvalCase
 from repro.evalharness.scorers import (
     score_latency_fidelity,
@@ -187,11 +182,11 @@ class EvalRunner:
     Parameters
     ----------
     executor:
-        Engine executor kind (``auto``/``serial``/``vectorized``/
-        ``sharded``/...); ``None`` defers to ``ATLAS_ENGINE_EXECUTOR`` and
-        the ``auto`` default.  Thanks to the numerics pin the choice cannot
-        change any metric value — it only changes how batches are
-        scheduled — and it is recorded in every ``result.json``.
+        Engine executor kind (``auto``/``vectorized``/``sharded``);
+        ``None`` defers to ``ATLAS_ENGINE_EXECUTOR`` and the ``auto``
+        default.  The choice cannot change any metric value — it only
+        changes how batches are scheduled — and it is recorded in every
+        ``result.json``.
     out_dir:
         Root of the run layout; ``None`` keeps results in memory only.
     max_workers:
@@ -240,7 +235,7 @@ class EvalRunner:
     # ----------------------------------------------------------------- engine
     def _engine(self, environment) -> MeasurementEngine:
         return MeasurementEngine(
-            VectorReplayEnvironment(environment),
+            environment,
             executor=self.executor,
             max_workers=self.max_workers,
             cache=self.cache if self.cache is not None else False,
@@ -268,16 +263,13 @@ class EvalRunner:
 
         Requests arrive variant-major (``vi * case.measurements + step``);
         results come back in the same flat order so the event loop stays
-        oblivious to the per-step batching.  The replay pin stays outermost
-        so every executor kind sees the vectorized numerics family.
+        oblivious to the per-step batching.
         """
-        base = engine.environment.inner
+        base = engine.environment
         n_variants = len(requests) // case.measurements
         results: list = [None] * len(requests)
         for step in range(case.measurements):
-            engine.environment = VectorReplayEnvironment(
-                FaultedEnvironment(base, schedule, step)
-            )
+            engine.environment = FaultedEnvironment(base, schedule, step)
             batch = [requests[vi * case.measurements + step] for vi in range(n_variants)]
             step_results = engine.run_batch(batch)
             for vi, result in enumerate(step_results):

@@ -166,10 +166,19 @@ def submit_job(state_dir: str | Path, kind: str, params: dict) -> JobSpec:
     """Atomically enqueue a job and return its spec.
 
     Works without a running daemon: the queue entry waits until one claims
-    it.  ``kind`` must be one of :data:`JOB_KINDS`.
+    it.  ``kind`` must be one of :data:`JOB_KINDS`, and an ``executor``
+    parameter, when given, one of the engine's executor kinds; anything
+    else raises ``ValueError`` before the job is spooled.
     """
+    from repro.engine.executors import EXECUTOR_KINDS
+
     if kind not in JOB_KINDS:
         raise ValueError(f"unknown job kind {kind!r}; expected one of {JOB_KINDS}")
+    executor = params.get("executor")
+    if executor is not None and executor not in EXECUTOR_KINDS:
+        raise ValueError(
+            f"unknown executor kind {executor!r}; expected one of {sorted(EXECUTOR_KINDS)}"
+        )
     paths = ServicePaths(Path(state_dir)).ensure()
     spec = JobSpec(id=new_job_id(), kind=kind, params=dict(params), created=time.time())
     _atomic_write_json(paths.queue / f"{spec.id}.json", spec.payload(status="queued"))

@@ -243,7 +243,7 @@ def run_contended(
     carrying its own scenario — goes out as a single batch, so multi-slice
     rounds parallelise across executor workers and hit the result cache
     exactly like single-slice measurements.  ``engine`` must wrap
-    ``environment``; a private serial engine is created when omitted.
+    ``environment``; a private default engine is created when omitted.
     """
     from repro.engine.engine import MeasurementEngine
     from repro.engine.protocol import MeasurementRequest

@@ -329,7 +329,7 @@ class NetworkSimulator:
             ``duration_s``).
         engine:
             Engine to batch through; must wrap this environment.  A private
-            serial engine is created when omitted.
+            default engine is created when omitted.
         """
         return run_contended(self, runs, budget=budget, duration=duration, engine=engine)
 

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from repro.engine.cache import MeasurementCache
 from repro.engine.engine import MeasurementEngine
-from repro.engine.replay import VectorReplayEnvironment
 from repro.scenarios import get_scenario
 from repro.service.store import ResultStore
 
@@ -24,11 +23,7 @@ def main() -> None:
     store = ResultStore(store_dir)
     cache = MeasurementCache(store=store)
     workload = get_scenario("frame-offloading").primary
-    engine = MeasurementEngine(
-        VectorReplayEnvironment(workload.make_simulator(seed=0)),
-        executor="vectorized",
-        cache=cache,
-    )
+    engine = MeasurementEngine(workload.make_simulator(seed=0), executor="sharded", cache=cache)
     # The entry the parent recovers and compares byte-for-byte.
     engine.run(workload.deployed_config, traffic=3, duration=2.0, seed=1234)
     # Torn staging file with our (soon to be dead) pid in its name.

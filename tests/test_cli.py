@@ -151,10 +151,56 @@ class TestRun:
             "--duration",
             "2.0",
             "--executor",
-            "thread",
+            "sharded",
         )
         assert code == 0
         assert "ATLAS_ENGINE_EXECUTOR" not in os.environ
+
+    @pytest.mark.parametrize("command", ["run", "eval", "serve"])
+    def test_bad_executor_environment_exits_2_before_running(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        # The retired scalar kinds (and any typo) fail at the boundary with
+        # one actionable line, not a traceback from deep inside a stage.
+        monkeypatch.setenv("ATLAS_ENGINE_EXECUTOR", "serial")
+        argv = {
+            "run": ["run", "--scenario", "frame-offloading", "--stage", "1", "--scale", "smoke"],
+            "eval": ["eval", "--out", str(tmp_path / "out"), "--no-determinism"],
+            "serve": ["serve", "--state", str(tmp_path / "state"), "--max-jobs", "0"],
+        }[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ATLAS_ENGINE_EXECUTOR='serial'")
+        for kind in ("auto", "sharded", "vectorized"):
+            assert kind in line
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "state").exists()
+
+    def test_explicit_executor_flag_overrides_a_bad_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("ATLAS_ENGINE_EXECUTOR", "serial")
+        code, _ = run_cli(
+            capsys,
+            "run",
+            "--scenario",
+            "urllc-control",
+            "--stage",
+            "2",
+            "--scale",
+            "smoke",
+            "--duration",
+            "2.0",
+            "--executor",
+            "vectorized",
+        )
+        assert code == 0
+
+    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+    def test_parser_rejects_retired_executor_kinds(self, kind):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--scenario", "frame-offloading", "--executor", kind])
 
 
 SMALL_REGISTRY = """\
@@ -284,7 +330,7 @@ class TestEval:
     def test_eval_executor_flag_is_recorded_but_metric_neutral(self, capsys, tmp_path):
         registry = self.write_registry(tmp_path)
         reports = {}
-        for kind in ("serial", "sharded"):
+        for kind in ("vectorized", "sharded"):
             out = tmp_path / f"out-{kind}"
             code, _ = run_cli(
                 capsys,
@@ -301,7 +347,7 @@ class TestEval:
             )
             assert code == 0
             reports[kind] = json.loads((out / "EVAL_report.json").read_text())
-        assert reports["serial"]["provenance"]["executor"]["requested"] == "serial"
+        assert reports["vectorized"]["provenance"]["executor"]["requested"] == "vectorized"
         assert reports["sharded"]["provenance"]["executor"]["requested"] == "sharded"
-        # The numerics pin makes the results section executor-independent.
-        assert reports["serial"]["results"] == reports["sharded"]["results"]
+        # Every executor kind produces the same bytes.
+        assert reports["vectorized"]["results"] == reports["sharded"]["results"]

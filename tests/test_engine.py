@@ -1,9 +1,10 @@
 """Tests for the unified measurement engine.
 
 Covers the :class:`Environment` protocol conformance of both concrete
-environments, determinism of the executor kinds (serial == thread == process
-for identical seeds), cache hit/miss accounting, the engine's deterministic
-auto-seeding, and the deterministic ``seed=None`` stream of the simulator.
+environments, determinism of the executor kinds (vectorized == sharded ==
+auto for identical seeds), cache hit/miss accounting, the engine's
+deterministic auto-seeding, and the deterministic ``seed=None`` stream of the
+simulator.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    EXECUTOR_KINDS,
     Environment,
     MeasurementCache,
     MeasurementEngine,
@@ -70,29 +72,26 @@ class TestEnvironmentProtocol:
 
 
 class TestExecutorDeterminism:
-    @pytest.mark.parametrize("kind", ["thread", "process"])
-    def test_executors_match_serial_byte_for_byte(self, simulator, default_config, kind):
-        requests = _requests(default_config)
-        serial = MeasurementEngine(simulator, executor="serial", cache=False)
+    @pytest.mark.parametrize("kind", ["sharded", "auto"])
+    def test_executors_match_vectorized_byte_for_byte(self, simulator, default_config, kind):
+        requests = _requests(default_config, n=8)
+        vectorized = MeasurementEngine(simulator, executor="vectorized", cache=False)
         parallel = MeasurementEngine(simulator, executor=kind, max_workers=2, cache=False)
         try:
-            serial_results = serial.run_batch(requests)
+            vectorized_results = vectorized.run_batch(requests)
             parallel_results = parallel.run_batch(requests)
         finally:
             parallel.shutdown()
-        for a, b in zip(serial_results, parallel_results):
+        for a, b in zip(vectorized_results, parallel_results):
             assert _results_equal(a, b)
 
-    def test_params_override_matches_with_params(self, simulator, default_config):
-        # Pinned to serial: the comparison target is a direct scalar run, and
-        # only the scalar kinds are byte-identical with it (the vectorized
-        # equivalence contract is tested in test_sim_batch.py).
+    @pytest.mark.parametrize("kind", ["vectorized", "sharded", "auto"])
+    def test_params_override_matches_with_params(self, simulator, default_config, kind):
         params = SimulationParameters(compute_time=15.0, backhaul_delay=5.0)
-        engine = MeasurementEngine(simulator, executor="serial", cache=False)
+        engine = MeasurementEngine(simulator, executor=kind, cache=False)
         via_override = engine.run(default_config, traffic=1, duration=DURATION, seed=2, params=params)
-        direct = simulator.with_params(params).run(
-            default_config, traffic=1, duration=DURATION, seed=2
-        )
+        request = MeasurementRequest(config=default_config, traffic=1, duration=DURATION, seed=2)
+        direct = simulator.with_params(params).run_requests([request])[0]
         assert _results_equal(via_override, direct)
 
     def test_params_override_requires_with_params(self, default_config):
@@ -112,11 +111,13 @@ class TestExecutorDeterminism:
         with pytest.raises(TypeError, match="with_params"):
             engine.run(default_config, seed=1, params=SimulationParameters())
 
-    def test_unknown_executor_kind_raises(self, simulator):
+    @pytest.mark.parametrize("kind", ["quantum", "serial", "thread", "process"])
+    def test_unknown_executor_kind_raises(self, simulator, kind):
+        assert sorted(EXECUTOR_KINDS) == ["auto", "sharded", "vectorized"]
         with pytest.raises(ValueError, match="unknown executor"):
-            MeasurementEngine(simulator, executor="quantum")
+            MeasurementEngine(simulator, executor=kind)
         with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("quantum")
+            make_executor(kind)
 
     def test_auto_seeds_are_deterministic_per_engine_seed(self, simulator, default_config):
         requests = [MeasurementRequest(config=default_config, traffic=1, duration=DURATION)] * 3
@@ -195,17 +196,17 @@ class TestMeasurementCache:
 
 
 class TestRealNetworkThroughEngine:
-    def test_matches_direct_measure(self, default_config):
+    def test_matches_direct_batch(self, default_config):
         scenario = Scenario(traffic=1, duration_s=10.0)
-        # Pinned to serial: direct measure() is the scalar path, and only the
-        # scalar executor kinds are byte-identical with it.
         via_engine = MeasurementEngine(
-            RealNetwork(scenario=scenario, seed=1), executor="serial", cache=False
+            RealNetwork(scenario=scenario, seed=1), cache=False
         ).run(default_config, traffic=1, duration=DURATION, seed=5)
-        direct = RealNetwork(scenario=scenario, seed=1).measure(
-            default_config, traffic=1, duration=DURATION, seed=5
-        )
+        network = RealNetwork(scenario=scenario, seed=1)
+        request = MeasurementRequest(config=default_config, traffic=1, duration=DURATION, seed=5)
+        simulator, resolved = network.prepare_batch([request])
+        direct = simulator.run_requests(resolved)[0]
         assert _results_equal(via_engine, direct)
+        assert via_engine.config == network.applied_history[-1].applied
 
     def test_applied_history_logged_even_on_cache_hits(self, real_network, default_config):
         engine = MeasurementEngine(real_network, cache=MeasurementCache())
@@ -255,7 +256,7 @@ class TestSimulatorSeedStream:
 
 
 class TestStageDeterminismAcrossExecutors:
-    def test_parameter_search_identical_under_thread_executor(self, default_config):
+    def test_parameter_search_identical_under_sharded_executor(self, default_config):
         from repro.core.simulator_learning import ParameterSearchConfig, SimulatorParameterSearch
 
         scenario = Scenario(traffic=1, duration_s=8.0)
@@ -273,19 +274,25 @@ class TestStageDeterminismAcrossExecutors:
 
         def run_search(executor: str):
             simulator = NetworkSimulator(scenario=scenario, seed=0)
+            engine = MeasurementEngine(simulator, executor=executor, max_workers=2, cache=False)
+            if executor == "sharded":
+                # Two-query batches are below the adaptive shard threshold;
+                # force the pool so the comparison crosses processes.
+                engine.executor.shards = 2
             return SimulatorParameterSearch(
                 simulator=simulator,
                 real_collection=collection,
                 deployed_config=default_config,
                 config=config,
-                engine=MeasurementEngine(
-                    simulator, executor=executor, max_workers=2, cache=False
-                ),
+                engine=engine,
             ).run()
 
-        serial_result = run_search("serial")
-        thread_result = run_search("thread")
-        assert serial_result.best_weighted_discrepancy == thread_result.best_weighted_discrepancy
-        assert [r.parameters for r in serial_result.history] == [
-            r.parameters for r in thread_result.history
+        vectorized_result = run_search("vectorized")
+        sharded_result = run_search("sharded")
+        assert (
+            vectorized_result.best_weighted_discrepancy
+            == sharded_result.best_weighted_discrepancy
+        )
+        assert [r.parameters for r in vectorized_result.history] == [
+            r.parameters for r in sharded_result.history
         ]

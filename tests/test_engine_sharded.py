@@ -9,12 +9,12 @@ Four contracts are pinned here:
   the batch is split into (1, 2, 3, or one per request).
 * **Cache composition** — partial cache hits shrink the dispatched shards,
   and fully-cached batches never touch (or spawn) a process pool; sharded
-  and vectorized results share one cache family and serve each other.
+  and vectorized results share cache entries and serve each other.
 * **Adaptive selection** — :func:`choose_executor` and the ``auto`` kind
-  pick serial/vectorized for tiny batches and sharded/process for large
-  batches on multi-core machines, and the persistent worker pools are
-  reused across batches, environments and engines rather than respawned,
-  and always run against the caller's current environment.
+  pick vectorized for tiny batches and sharded for large batches on
+  multi-core machines, and the persistent worker pools are reused across
+  batches, environments and engines rather than respawned, and always run
+  against the caller's current environment.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.engine import (
     shutdown_worker_pools,
 )
 from repro.engine import executors as executors_module
-from repro.engine.executors import AutoExecutor, ShardedExecutor
+from repro.engine.executors import ShardedExecutor
 from repro.scenarios import list_scenarios
 from repro.sim.config import SliceConfig
 from repro.sim.network import NetworkSimulator
@@ -68,8 +68,9 @@ class _OffsetEnvironment:
     """A fingerprint-less environment whose latency offset is mutable.
 
     ``run_requests`` runs each request through the scalar ``run`` so the
-    sharded executor dispatches it to the pool, and serial execution stays
-    the byte-identical reference for every executor kind.
+    sharded executor dispatches it to the pool, and the in-process
+    vectorized kind stays the byte-identical reference for every other
+    kind.
     """
 
     def __init__(self, simulator):
@@ -199,7 +200,7 @@ class TestShardedCacheComposition:
         for a, b in zip(results, fresh):
             assert _results_identical(a, b)
 
-    def test_sharded_and_vectorized_share_one_cache_family(self, simulator, default_config):
+    def test_sharded_and_vectorized_share_cache_entries(self, simulator, default_config):
         cache = MeasurementCache()
         requests = _requests(default_config, n=4)
         _sharded_engine(simulator, shards=2, cache=cache).run_batch(requests)
@@ -208,15 +209,14 @@ class TestShardedCacheComposition:
         vectorized.run_batch(requests)
         assert cache.stats.hits == 4  # every request served from the sharded entries
 
-    @pytest.mark.parametrize("kind", ["process", "sharded"])
+    @pytest.mark.parametrize("kind", ["sharded", "auto"])
     def test_fully_cached_batches_never_touch_the_pool(
         self, simulator, default_config, kind, monkeypatch
     ):
         cache = MeasurementCache()
-        requests = _requests(default_config, n=4)
-        # Prime through an in-process executor of the same numerics family.
-        primer = "serial" if kind == "process" else "vectorized"
-        MeasurementEngine(simulator, executor=primer, cache=cache).run_batch(requests)
+        requests = _requests(default_config, n=8)
+        # Prime through the in-process executor.
+        MeasurementEngine(simulator, executor="vectorized", cache=cache).run_batch(requests)
 
         def no_pool(*args, **kwargs):  # pragma: no cover - assertion helper
             raise AssertionError("fully-cached batches must not touch the process pool")
@@ -225,6 +225,8 @@ class TestShardedCacheComposition:
         engine = MeasurementEngine(simulator, executor=kind, max_workers=2, cache=cache)
         if kind == "sharded":
             engine.executor.shards = 2
+        else:
+            engine.executor.sharded.shards = 2
         results = engine.run_batch(requests)
         assert len(results) == len(requests)
         assert engine.executed_requests == 0
@@ -234,7 +236,7 @@ class TestShardedCacheComposition:
             raise AssertionError("empty/single batches must not touch the process pool")
 
         monkeypatch.setattr(executors_module, "_acquire_process_pool", no_pool)
-        for kind in ("process", "sharded"):
+        for kind in ("sharded", "auto"):
             engine = MeasurementEngine(simulator, executor=kind, max_workers=2, cache=False)
             assert engine.run_batch([]) == []
             [result] = engine.run_batch(_requests(default_config, n=1))
@@ -249,19 +251,19 @@ class TestAdaptiveSelection:
         assert choose_executor(7, cores=8, environment=simulator) == "vectorized"
         assert choose_executor(8, cores=8, environment=simulator) == "sharded"
         assert choose_executor(256, cores=1, environment=simulator) == "vectorized"
-        # scalar-only environments
-        assert choose_executor(2, cores=8, environment=scalar_only) == "serial"
-        assert choose_executor(4, cores=8, environment=scalar_only) == "process"
-        assert choose_executor(64, cores=1, environment=scalar_only) == "serial"
+        # scalar-only environments have nothing to shard: in-process fallback
+        assert choose_executor(2, cores=8, environment=scalar_only) == "vectorized"
+        assert choose_executor(64, cores=8, environment=scalar_only) == "vectorized"
+        assert choose_executor(64, cores=1, environment=scalar_only) == "vectorized"
         # no environment: assume vector-capable
         assert choose_executor(16, cores=4) == "sharded"
 
-    def test_auto_picks_serial_for_tiny_and_sharded_for_large(
+    def test_auto_picks_vectorized_for_tiny_and_sharded_for_large(
         self, simulator, default_config, monkeypatch
     ):
         monkeypatch.setattr(executors_module, "available_parallelism", lambda: 4)
         engine = MeasurementEngine(simulator, executor="auto", max_workers=4, cache=False)
-        engine.executor.delegate("sharded").shards = 2  # force the pool on any host
+        engine.executor.sharded.shards = 2  # force the pool on any host
         engine.run_batch(_requests(default_config, n=2))
         assert engine.executor.last_choice == "vectorized"
         engine.run_batch(_requests(default_config, n=8, base_seed=50))
@@ -285,21 +287,23 @@ class TestAdaptiveSelection:
         scalar_engine = MeasurementEngine(
             ScalarOnly(simulator), executor="auto", max_workers=4, cache=False
         )
-        scalar_engine.run_batch(_requests(default_config, n=2, base_seed=90))
-        assert scalar_engine.executor.last_choice == "serial"
+        requests = _requests(default_config, n=8, base_seed=90)
+        results = scalar_engine.run_batch(requests)
+        assert scalar_engine.executor.last_choice == "vectorized"
+        for request, result in zip(requests, results):
+            direct = simulator.run(
+                request.config, traffic=request.traffic, duration=request.duration,
+                seed=request.seed,
+            )
+            assert _results_identical(direct, result)
 
-    def test_auto_results_match_vectorized_family(self, simulator, default_config):
+    def test_auto_shares_cache_entries_with_vectorized(self, simulator, default_config):
         cache = MeasurementCache()
         requests = _requests(default_config, n=4)
         MeasurementEngine(simulator, executor="vectorized", cache=cache).run_batch(requests)
         auto = MeasurementEngine(simulator, executor="auto", cache=cache)
         auto.run_batch(requests)
-        assert cache.stats.hits == 4  # auto shares the vectorized family
-
-    def test_auto_numerics_depends_on_environment_only(self, simulator):
-        executor = AutoExecutor(max_workers=2)
-        assert executor.numerics(simulator) == "vectorized"
-        assert executor.numerics(object()) == "scalar"
+        assert cache.stats.hits == 4
 
     def test_default_engine_kind_is_auto(self, simulator, monkeypatch):
         monkeypatch.delenv("ATLAS_ENGINE_EXECUTOR", raising=False)
@@ -307,7 +311,8 @@ class TestAdaptiveSelection:
 
 
 class TestPersistentPools:
-    def test_pools_survive_batches_engines_and_shutdown(self, default_config):
+    def test_pools_survive_batches_engines_and_shutdown(self, default_config, monkeypatch):
+        monkeypatch.setattr(executors_module, "available_parallelism", lambda: 2)
         shutdown_worker_pools()
         scenario = Scenario(traffic=1, duration_s=10.0)
         simulator = NetworkSimulator(scenario=scenario, seed=7)
@@ -318,13 +323,14 @@ class TestPersistentPools:
         engine.shutdown()  # engine-level shutdown must leave the pool warm
         # A different engine (and executor kind) with the same worker count
         # and an equal-content environment reuses the very same pool.
-        process = MeasurementEngine(
+        auto = MeasurementEngine(
             NetworkSimulator(scenario=scenario, seed=7),
-            executor="process",
+            executor="auto",
             max_workers=2,
             cache=False,
         )
-        process.run_batch(_requests(default_config, n=4, base_seed=200))
+        auto.run_batch(_requests(default_config, n=8, base_seed=200))
+        assert auto.executor.last_choice == "sharded"
         diagnostics = pool_diagnostics()
         assert diagnostics["pools_created"] == created_before + 1
         assert diagnostics["live_pools"] >= 1
@@ -337,19 +343,19 @@ class TestPersistentPools:
         environments = [NetworkSimulator(scenario=scenario, seed=seed) for seed in (1, 2)]
         created_before = pool_diagnostics()["pools_created"]
         for environment in environments:
-            expected = MeasurementEngine(environment, executor="serial", cache=False).run_batch(
+            expected = MeasurementEngine(
+                environment, executor="vectorized", cache=False
+            ).run_batch(_requests(default_config, n=4))
+            results = _sharded_engine(environment, shards=2).run_batch(
                 _requests(default_config, n=4)
             )
-            results = MeasurementEngine(
-                environment, executor="process", max_workers=2, cache=False
-            ).run_batch(_requests(default_config, n=4))
             # Each batch runs against its own environment, byte for byte.
             for a, b in zip(expected, results):
                 assert _results_identical(a, b)
         assert pool_diagnostics()["pools_created"] == created_before + 1
         shutdown_worker_pools()
 
-    @pytest.mark.parametrize("kind", ["process", "sharded"])
+    @pytest.mark.parametrize("kind", ["sharded", "auto"])
     def test_environment_mutated_in_place_is_never_stale(self, kind, default_config):
         # No fingerprint(), same object every batch: workers must still see
         # each batch's offset, not the one the pool first ran with.
@@ -358,26 +364,16 @@ class TestPersistentPools:
             NetworkSimulator(scenario=Scenario(traffic=1, duration_s=10.0), seed=3)
         )
         engine = MeasurementEngine(environment, executor=kind, max_workers=2, cache=False)
-        if kind == "sharded":
-            engine.executor.shards = 2  # reach the pool even on one core
-        serial = MeasurementEngine(environment, executor="serial", cache=False)
+        # Whenever the batch is sharded, use the pool even on one core.
+        sharded = engine.executor if kind == "sharded" else engine.executor.sharded
+        sharded.shards = 2
+        reference = MeasurementEngine(environment, executor="vectorized", cache=False)
         for offset_ms in (0.0, 10.0, 20.0, 30.0):
             environment.offset_ms = offset_ms
-            requests = _requests(default_config, n=4)
-            for a, b in zip(serial.run_batch(requests), engine.run_batch(requests)):
+            requests = _requests(default_config, n=8)
+            for a, b in zip(reference.run_batch(requests), engine.run_batch(requests)):
                 assert _results_identical(a, b)
         shutdown_worker_pools()
-
-    def test_process_executor_still_byte_identical_after_initializer_move(
-        self, simulator, default_config
-    ):
-        requests = _requests(default_config, n=5)
-        serial = MeasurementEngine(simulator, executor="serial", cache=False).run_batch(requests)
-        process = MeasurementEngine(
-            simulator, executor="process", max_workers=2, cache=False
-        ).run_batch(requests)
-        for a, b in zip(serial, process):
-            assert _results_identical(a, b)
 
 
 class TestResultPacking:

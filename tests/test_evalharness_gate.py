@@ -164,7 +164,7 @@ class TestReport:
             group="test",
             scenario="urllc-control",
             seed=0,
-            executor={"kind": "serial", "resolved": "serial"},
+            executor={"kind": "vectorized", "resolved": "vectorized"},
             metrics={"latency_p95_ms": float("nan")},
             events=(),
         )
@@ -185,7 +185,7 @@ class TestReport:
     def test_canonical_results_bytes_exclude_provenance(self):
         runner = EvalRunner()
         results = runner.run_cases([small_case()])
-        report_a = build_report(results, executor="serial", gate=None)
+        report_a = build_report(results, executor="vectorized", gate=None)
         report_b = build_report(results, executor="sharded", gate=None)
         assert report_a["provenance"] != report_b["provenance"]
         assert canonical_results_bytes(report_a) == canonical_results_bytes(report_b)

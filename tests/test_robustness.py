@@ -10,10 +10,9 @@ Three legs per hostile catalog entry (``traffic-drift``, ``sla-storm``,
 3. **win** — the guarded violation rate is strictly below the unprotected
    one: supervision pays for itself on the same faulted episode.
 
-Every environment is pinned under a
-:class:`~repro.engine.replay.VectorReplayEnvironment`, so the gate numbers
-are byte-identical across the serial / vectorized / sharded / auto executor
-matrix CI runs the suite under.  The remaining tests are the regression
+Every executor kind produces the same bytes, so the gate numbers are
+byte-identical across the vectorized / sharded / auto executor matrix CI
+runs the suite under.  The remaining tests are the regression
 fixes that ride along: telemetry dropouts must not poison the engine cache,
 and faulted measurements must replay byte-identically across executors.
 """
@@ -35,7 +34,6 @@ from repro.core.watchdog import (
 from repro.engine.cache import MeasurementCache
 from repro.engine.engine import MeasurementEngine
 from repro.engine.protocol import MeasurementRequest
-from repro.engine.replay import VectorReplayEnvironment
 from repro.prototype.testbed import RealNetwork
 from repro.scenarios import get_scenario
 from repro.sim.faults import FaultedEnvironment, telemetry_lost
@@ -57,7 +55,7 @@ def offline_policy():
     workload = spec.slices[0]
     scenario = _scenario(spec)
     trainer = OfflineConfigurationTrainer(
-        simulator=VectorReplayEnvironment(NetworkSimulator(scenario=scenario, seed=0)),
+        simulator=NetworkSimulator(scenario=scenario, seed=0),
         sla=workload.sla,
         traffic=scenario.traffic,
         config=OfflineTrainingConfig(
@@ -77,8 +75,8 @@ def _learner(spec, policy) -> OnlineConfigurationLearner:
     scenario = _scenario(spec)
     return OnlineConfigurationLearner(
         offline_policy=policy,
-        simulator=VectorReplayEnvironment(NetworkSimulator(scenario=scenario, seed=0)),
-        real_network=VectorReplayEnvironment(RealNetwork(scenario=scenario, seed=1)),
+        simulator=NetworkSimulator(scenario=scenario, seed=0),
+        real_network=RealNetwork(scenario=scenario, seed=1),
         sla=spec.slices[0].sla,
         traffic=scenario.traffic,
         config=OnlineLearningConfig(
@@ -207,17 +205,13 @@ class TestDropoutCacheHygiene:
     def test_dropped_step_does_not_poison_clean_runs(self):
         spec, scenario, cache, real, config = self._fixture()
         assert spec.faults.dropped(2), "step 2 must sit inside the blackout window"
-        faulted = MeasurementEngine(
-            FaultedEnvironment(real, spec.faults, step=2),
-            executor="serial",
-            cache=cache,
-        )
+        faulted = MeasurementEngine(FaultedEnvironment(real, spec.faults, step=2), cache=cache)
         dropped = faulted.run(config, traffic=1, duration=DURATION, seed=7)
         assert telemetry_lost(dropped)
         # The same request against the bare environment must miss the cache
         # and deliver real telemetry — the dropout was keyed under the fault
         # fingerprint, not the bare environment's.
-        bare = MeasurementEngine(real, executor="serial", cache=cache)
+        bare = MeasurementEngine(real, cache=cache)
         clean = bare.run(config, traffic=1, duration=DURATION, seed=7)
         assert not telemetry_lost(clean)
         assert clean.latencies_ms.size > 0
@@ -225,17 +219,13 @@ class TestDropoutCacheHygiene:
     def test_clean_steps_share_cache_entries_with_unfaulted_runs(self):
         spec, scenario, cache, real, config = self._fixture()
         assert not spec.faults.affects(0), "step 0 must be fault-free"
-        bare = MeasurementEngine(real, executor="serial", cache=cache)
+        bare = MeasurementEngine(real, cache=cache)
         first = bare.run(config, traffic=1, duration=DURATION, seed=7)
         executed = bare.executed_requests
         assert executed == 1
         # A fault-free step of the faulted wrapper collapses to the inner
         # fingerprint: the measurement is served from the shared entry.
-        faulted = MeasurementEngine(
-            FaultedEnvironment(real, spec.faults, step=0),
-            executor="serial",
-            cache=cache,
-        )
+        faulted = MeasurementEngine(FaultedEnvironment(real, spec.faults, step=0), cache=cache)
         hit = faulted.run(config, traffic=1, duration=DURATION, seed=7)
         assert faulted.executed_requests == 0
         assert np.array_equal(hit.latencies_ms, first.latencies_ms)
@@ -245,7 +235,7 @@ class TestDropoutCacheHygiene:
         """A window spanning clean and dropped steps reuses only the clean entries."""
         spec, scenario, cache, real, config = self._fixture()
         # Pre-warm the cache with an unfaulted run of every step's request.
-        bare = MeasurementEngine(real, executor="serial", cache=cache)
+        bare = MeasurementEngine(real, cache=cache)
         steps = range(6)
         for step in steps:
             bare.run(config, traffic=1, duration=DURATION, seed=100 + step)
@@ -255,9 +245,7 @@ class TestDropoutCacheHygiene:
         executed_faulted = 0
         for step in steps:
             engine = MeasurementEngine(
-                FaultedEnvironment(real, spec.faults, step=step),
-                executor="serial",
-                cache=cache,
+                FaultedEnvironment(real, spec.faults, step=step), cache=cache
             )
             result = engine.run(config, traffic=1, duration=DURATION, seed=100 + step)
             executed_faulted += engine.executed_requests
@@ -266,7 +254,7 @@ class TestDropoutCacheHygiene:
         assert executed_faulted == sum(1 for step in steps if spec.faults.dropped(step))
         # And the bare cache entries are intact: replaying the unfaulted
         # window is all hits, with real telemetry throughout.
-        bare_replay = MeasurementEngine(real, executor="serial", cache=cache)
+        bare_replay = MeasurementEngine(real, cache=cache)
         for step in steps:
             again = bare_replay.run(config, traffic=1, duration=DURATION, seed=100 + step)
             assert not telemetry_lost(again)
@@ -308,13 +296,14 @@ class TestFaultedCrossExecutorIdentity:
         scenario = _scenario(spec)
         config = spec.slices[0].deployed_config
         per_step: list[list] = []
-        for kind in ("serial", "vectorized", "sharded", "auto"):
+        for kind in ("vectorized", "sharded", "auto"):
             real = RealNetwork(scenario=scenario, seed=1)
             results = []
             for step in range(6):
                 engine = MeasurementEngine(
-                    VectorReplayEnvironment(FaultedEnvironment(real, spec.faults, step)),
+                    FaultedEnvironment(real, spec.faults, step),
                     executor=kind,
+                    max_workers=2,
                     cache=False,
                 )
                 results.extend(
@@ -323,7 +312,7 @@ class TestFaultedCrossExecutorIdentity:
                             MeasurementRequest(
                                 config=config, traffic=1, duration=DURATION, seed=31 + lane
                             )
-                            for lane in range(3)
+                            for lane in range(8)
                         ]
                     )
                 )
@@ -340,10 +329,6 @@ class TestFaultedCrossExecutorIdentity:
         config = spec.slices[0].deployed_config
         real = RealNetwork(scenario=scenario, seed=1)
         for step in range(8):
-            engine = MeasurementEngine(
-                VectorReplayEnvironment(FaultedEnvironment(real, spec.faults, step)),
-                executor="serial",
-                cache=False,
-            )
+            engine = MeasurementEngine(FaultedEnvironment(real, spec.faults, step), cache=False)
             result = engine.run(config, traffic=1, duration=DURATION, seed=5)
             assert result.traffic == spec.faults.traffic_at(step, 1)

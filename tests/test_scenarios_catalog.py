@@ -2,7 +2,7 @@
 
 Covers the satellite requirements of the catalog subsystem: name lookup and
 unknown-name errors, byte-identical simulator results for catalog entries
-across the serial/thread/process executors, and conservation of the shared
+across the vectorized/sharded/auto executors, and conservation of the shared
 PRB/backhaul/CPU budgets under multi-slice contention.
 """
 
@@ -164,34 +164,36 @@ class TestExecutorDeterminism:
                 duration=5.0,
                 seed=100 + index,
             )
-            for index in range(4)
+            for index in range(8)
         ]
         collections = {}
-        for executor in ("serial", "thread", "process"):
+        for executor in ("vectorized", "sharded", "auto"):
             engine = MeasurementEngine(
                 workload.make_simulator(seed=3), executor=executor, max_workers=2, cache=False
             )
             with engine:
                 collections[executor] = engine.collect_latencies_batch(requests)
-        for executor in ("thread", "process"):
-            for serial, parallel in zip(collections["serial"], collections[executor]):
-                np.testing.assert_array_equal(serial, parallel)
+        for executor in ("sharded", "auto"):
+            for reference, parallel in zip(collections["vectorized"], collections[executor]):
+                np.testing.assert_array_equal(reference, parallel)
 
     def test_multislice_round_identical_across_executors(self):
         spec = get_scenario("mixed-enterprise")
         simulator = spec.primary.make_simulator(seed=5)
         results = {}
-        for executor in ("serial", "process"):
+        for executor in ("vectorized", "sharded"):
             engine = MeasurementEngine(simulator, executor=executor, max_workers=2, cache=False)
+            if executor == "sharded":
+                engine.executor.shards = 2  # one round is below the shard threshold
             with engine:
                 round_ = simulator.run_slices(
                     spec.slice_runs(seed=40), budget=spec.budget, duration=5.0, engine=engine
                 )
             results[executor] = round_
-        for serial, parallel in zip(
-            results["serial"].results, results["process"].results
+        for reference, parallel in zip(
+            results["vectorized"].results, results["sharded"].results
         ):
-            np.testing.assert_array_equal(serial.latencies_ms, parallel.latencies_ms)
+            np.testing.assert_array_equal(reference.latencies_ms, parallel.latencies_ms)
 
 
 # ------------------------------------------------------- contention resolution
@@ -356,12 +358,10 @@ class TestScenarioOverrides:
     def test_scenario_override_matches_direct_with_scenario(self):
         workload = get_scenario("embb-video").primary
         simulator = get_scenario("frame-offloading").primary.make_simulator(seed=1)
-        direct = simulator.with_scenario(workload.scenario).run(
-            workload.deployed_config, duration=5.0, seed=11
-        )
-        # Pinned to serial: with_scenario().run() is the scalar path, and only
-        # the scalar executor kinds are byte-identical with it.
-        engine = MeasurementEngine(simulator, executor="serial", cache=False)
+        direct = simulator.with_scenario(workload.scenario).run_requests(
+            [MeasurementRequest(config=workload.deployed_config, duration=5.0, seed=11)]
+        )[0]
+        engine = MeasurementEngine(simulator, cache=False)
         batched = engine.run_batch(
             [
                 MeasurementRequest(

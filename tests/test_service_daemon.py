@@ -50,6 +50,15 @@ def test_submit_rejects_unknown_kind(tmp_path):
         submit_job(tmp_path, "bogus", {})
 
 
+@pytest.mark.parametrize("kind", ["run", "eval"])
+def test_submit_rejects_unknown_executor_before_spooling(tmp_path, kind):
+    with pytest.raises(ValueError, match="auto.*sharded.*vectorized"):
+        submit_job(tmp_path, kind, {"executor": "process", "scenario": "frame-offloading"})
+    assert not list((tmp_path / "queue").glob("*"))
+    spec = submit_job(tmp_path, kind, {"executor": "sharded", "scenario": "frame-offloading"})
+    assert [p.name for p in (tmp_path / "queue").iterdir()] == [f"{spec.id}.json"]
+
+
 def test_job_failure_is_contained_and_recorded(tmp_path):
     spec = submit_job(tmp_path, "run", {"scenario": "no-such-scenario"})
     paths = ServicePaths(tmp_path)

@@ -6,6 +6,7 @@ never dropping the entry just written, corruption detection, and N
 processes hammering one store directory with reconcilable cost accounting.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -80,7 +81,8 @@ def test_engine_cache_key_is_encodable_and_process_stable(tmp_path):
     request = MeasurementRequest(
         config=workload.deployed_config, traffic=4, duration=2.5, seed=11
     )
-    key = (simulator.fingerprint(), request.key(), "scalar")
+    key = (simulator.fingerprint(), request.key())
+    assert MeasurementEngine(simulator, cache=False)._cache_key(simulator, request) == key
     local = key_digest(key)
 
     script = (
@@ -90,7 +92,7 @@ def test_engine_cache_key_is_encodable_and_process_stable(tmp_path):
         "w = get_scenario('frame-offloading').primary\n"
         "sim = w.make_simulator(seed=3)\n"
         "req = MeasurementRequest(config=w.deployed_config, traffic=4, duration=2.5, seed=11)\n"
-        "print(key_digest((sim.fingerprint(), req.key(), 'scalar')))\n"
+        "print(key_digest((sim.fingerprint(), req.key())))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -101,6 +103,32 @@ def test_engine_cache_key_is_encodable_and_process_stable(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == local
+
+
+def test_entries_under_the_retired_numerics_key_are_never_addressed(tmp_path):
+    """Keys used to end in a numerics family; such entries are simply missed.
+
+    The store is content-addressed, so dropping the family element moves
+    every digest: an entry written under the old three-element key is never
+    looked up, and the engine recomputes instead of needing a migration.
+    """
+    workload = get_scenario("frame-offloading").primary
+    simulator = workload.make_simulator(seed=3)
+    request = MeasurementRequest(config=workload.deployed_config, traffic=4, duration=2.5, seed=11)
+    fresh = MeasurementEngine(simulator, cache=False).run_batch([request])[0]
+    store = ResultStore(tmp_path / "store")
+    # A poisoned entry: served by mistake, it would fail the equality below.
+    stale = dataclasses.replace(fresh, latencies_ms=fresh.latencies_ms + 1.0)
+    store.put((simulator.fingerprint(), request.key(), "vectorized"), stale)
+
+    cache = MeasurementCache(store=store)
+    engine = MeasurementEngine(simulator, cache=cache)
+    [result] = engine.run_batch([request])
+    assert cache.stats.misses == 1
+    assert cache.stats.store_hits == 0
+    assert engine.executed_requests == 1
+    assert np.array_equal(result.latencies_ms, fresh.latencies_ms)
+    assert result.stage_breakdown_ms == fresh.stage_breakdown_ms
 
 
 @given(
@@ -191,7 +219,7 @@ def test_cache_degrades_unencodable_keys_to_store_errors(tmp_path):
     store = ResultStore(tmp_path / "store")
     cache = MeasurementCache(store=store)
     workload = get_scenario("frame-offloading").primary
-    engine = MeasurementEngine(workload.make_simulator(seed=0), executor="serial", cache=cache)
+    engine = MeasurementEngine(workload.make_simulator(seed=0), executor="vectorized", cache=cache)
     result = engine.run(workload.deployed_config, traffic=2, duration=2.0, seed=5)
     bad_key = ("unencodable", object())
     cache.put(bad_key, result)
@@ -214,7 +242,7 @@ store_dir, out_path, start, stop = sys.argv[1:5]
 store = ResultStore(store_dir)
 cache = MeasurementCache(store=store)
 workload = get_scenario("frame-offloading").primary
-engine = MeasurementEngine(workload.make_simulator(seed=0), executor="serial", cache=cache)
+engine = MeasurementEngine(workload.make_simulator(seed=0), executor="vectorized", cache=cache)
 ledger = CostLedger(cache=cache, store=store)
 for seed in range(int(start), int(stop)):
     engine.run(workload.deployed_config, traffic=3, duration=2.0, seed=seed)
@@ -270,7 +298,7 @@ def test_concurrent_processes_share_one_store_and_reconcile(tmp_path):
     # Sequential rerun over the full range: zero recompute beyond the races.
     cache = MeasurementCache(store=store)
     workload = get_scenario("frame-offloading").primary
-    engine = MeasurementEngine(workload.make_simulator(seed=0), executor="serial", cache=cache)
+    engine = MeasurementEngine(workload.make_simulator(seed=0), executor="vectorized", cache=cache)
     for seed in range(16):
         assert engine.run(workload.deployed_config, traffic=3, duration=2.0, seed=seed) is not None
     assert engine.executed_requests == 0
