@@ -1,6 +1,6 @@
 """Micro-benchmark of the measurement engine: scalar oracle vs vectorized vs sharded.
 
-Two batch shapes are timed.  The *small* batch (16 requests, the paper's
+Three batch shapes are timed.  The *small* batch (16 requests, the paper's
 parallel-query fan-out) runs through the scalar discrete-event oracle — a
 plain loop over :meth:`~repro.sim.network.NetworkSimulator.run`, the
 ``serial`` baseline — and the vectorized executor, verifying the vectorized
@@ -9,9 +9,12 @@ The *large* batch (hundreds of requests, the city-scale shape) compares the
 vectorized pass against the ``sharded`` executor — per-worker vectorized
 passes over contiguous shards — and the adaptive ``auto`` policy, verifying
 sharded results are **byte-identical** to the whole-batch vectorized pass.
+The *narrow* batches (1 and 3 requests of one measurement each) are the
+shape the learning stages actually submit; they run the vectorized pass
+with its per-lane scalar recurrence and carry no gate.
 The numbers are printed as tables *and* written to ``BENCH_engine.json`` at
 the repository root — the machine-readable perf trajectory CI uploads on
-every push (schema ``atlas-bench-engine/3``, documented in
+every push (schema ``atlas-bench-engine/4``, documented in
 ``docs/performance.md``), including the *effective* per-executor worker
 counts and the persistent-pool reuse counters (no per-batch respawn).
 
@@ -54,6 +57,8 @@ from repro.sim.scenario import Scenario
 BATCH_SIZE = 16
 #: Large-batch size: the shape where sharding the vectorized pass pays.
 LARGE_BATCH_SIZE = 192
+#: Narrow-batch sizes: what the learning stages submit per query.
+NARROW_BATCH_SIZES = (1, 3)
 #: Workers of the sharded executor.
 WORKERS = 4
 #: Required vectorized-executor speedup over serial (single-core, so always asserted).
@@ -67,7 +72,7 @@ POOL_WARMUP_S = 3.0
 #: Where the machine-readable results land (the repository root).
 BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 #: Schema identifier of the emitted JSON (bump on breaking changes).
-BENCH_SCHEMA = "atlas-bench-engine/3"
+BENCH_SCHEMA = "atlas-bench-engine/4"
 
 _CONFIG = SliceConfig(bandwidth_ul=10, bandwidth_dl=5, backhaul_bw=10, cpu_ratio=0.8)
 
@@ -85,6 +90,11 @@ def _large_batch(scale):
     # Hundreds of lanes, shorter runs: the wide-batch shape the sharded
     # executor is built for (per-frame NumPy work scales with lane count).
     return _batch(scale, size=LARGE_BATCH_SIZE, duration_factor=2.0, duration_floor=30.0)
+
+
+def _narrow_batch(scale, size):
+    # One measurement per request, like a stage query.
+    return _batch(scale, size=size, duration_factor=1.0, duration_floor=0.0)
 
 
 def _timed(engine: MeasurementEngine, requests: list[MeasurementRequest]):
@@ -150,6 +160,14 @@ def test_engine_throughput(scale):
     vectorized_pool = np.concatenate([r.latencies_ms for r in vectorized_results])
     assert abs(vectorized_pool.mean() - serial_pool.mean()) / serial_pool.mean() < 0.05
     assert abs(vectorized_pool.size - serial_pool.size) / serial_pool.size < 0.05
+
+    # ---------------------------------------------------------- narrow batches
+    # Milliseconds per pass, so best of five.
+    narrow_rows = {}
+    for size in NARROW_BATCH_SIZES:
+        narrow_requests = _narrow_batch(scale, size)
+        narrow_rows[size], _ = _timed_best(vectorized, narrow_requests, repeats=5)
+    narrow_duration_s = float(narrow_requests[0].duration)
 
     # ------------------------------------------------------------ large batch
     # Sharded (per-worker vectorized passes) vs one whole-batch vectorized
@@ -267,6 +285,13 @@ def test_engine_throughput(scale):
             },
         ],
     )
+    print_table(
+        f"Narrow batches ({narrow_duration_s:g} s per request): vectorized",
+        [
+            {"batch_size": size, "wall_s": wall_s, "throughput_rps": size / wall_s}
+            for size, wall_s in narrow_rows.items()
+        ],
+    )
     print(f"cache stats: {stats.as_dict()}")
     print(f"pool reuse: {pool_summary}")
     print(
@@ -318,6 +343,17 @@ def test_engine_throughput(scale):
                     "workers": sharded_shards if auto_choice == "sharded" else 1,
                     "choice": auto_choice,
                 },
+            },
+        },
+        "narrow_batches": {
+            "measurement_duration_s": narrow_duration_s,
+            "vectorized": {
+                str(size): {
+                    "wall_s": round(wall_s, 6),
+                    "throughput_rps": round(size / wall_s, 3),
+                    "workers": 1,
+                }
+                for size, wall_s in narrow_rows.items()
             },
         },
         "pools": pool_summary,

@@ -10,6 +10,8 @@ network configurations and latencies/QoEs.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.models.optimizers import make_optimizer
@@ -170,13 +172,18 @@ class MLPRegressor:
         return result[:, 0] if self.output_dim == 1 else result
 
     def clone(self) -> "MLPRegressor":
-        """Return a deep copy with the same weights (used for teacher→student transfer)."""
+        """Return a deep copy with the same weights (used for teacher→student transfer).
+
+        The twin carries this model's generator state, so its mini-batch
+        order is as reproducible as the original's.
+        """
         twin = MLPRegressor(
             input_dim=self.input_dim,
             hidden_layers=self.hidden_layers,
             output_dim=self.output_dim,
             l2=self.l2,
         )
+        twin._rng = copy.deepcopy(self._rng)
         twin.weights = [w.copy() for w in self.weights]
         twin.biases = [b.copy() for b in self.biases]
         twin._optimizer = make_optimizer("adam", twin.weights + twin.biases, 1e-2)

@@ -165,6 +165,13 @@ class TestDLDA:
         assert len(result.history) == 3
         assert dlda.student is not None
 
+    def test_online_runs_are_reproducible(self):
+        # The student is a clone of the teacher; it must inherit a seeded
+        # generator, or its fine-tuning (and every later pick) varies per run.
+        first = self._dlda().run_online(_real_network(), iterations=3)
+        second = self._dlda().run_online(_real_network(), iterations=3)
+        assert first.history == second.history
+
     def test_invalid_config_raises(self):
         with pytest.raises(ValueError):
             DLDAConfig(grid_points_per_dim=1)

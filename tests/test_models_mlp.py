@@ -78,6 +78,21 @@ class TestMLPRegressor:
         twin.fit(x, -y, epochs=200, reset_scalers=False)
         assert not np.allclose(model.predict(x), twin.predict(x))
 
+    def test_clones_fine_tune_identically(self):
+        # A clone carries the original's generator state: two clones trained
+        # on the same data shuffle their mini-batches alike.
+        rng = np.random.default_rng(7)
+        x = rng.uniform(-1, 1, size=(100, 2))
+        y = x.sum(axis=1)
+        model = MLPRegressor(input_dim=2, hidden_layers=(16,), seed=7)
+        model.fit(x, y, epochs=20)
+        first, second = model.clone(), model.clone()
+        first.fit(x, -y, epochs=10, reset_scalers=False)
+        second.fit(x, -y, epochs=10, reset_scalers=False)
+        for a, b in zip(first.weights + first.biases, second.weights + second.biases):
+            assert np.array_equal(a, b)
+        assert first.loss_history == second.loss_history
+
     def test_continue_training_without_resetting_scalers(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(0, 1, size=(100, 1))

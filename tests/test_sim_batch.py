@@ -8,19 +8,26 @@ LTE helpers against their scalar counterparts, per-request determinism under
 arbitrary batch composition, the ``vectorized`` engine executor (partial
 cache hits, per-request scenario/params overrides, scalar fallback for
 environments without the batch hook, the real network's ``prepare_batch``
-resolution), and the batched multi-slice round API.
+resolution), the batched multi-slice round API, bit-identity of the two
+layouts of the closed-loop recurrence, and the per-lane stop rule that keeps
+a lane's result independent of its batch.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import MeasurementCache, MeasurementEngine, MeasurementRequest
 from repro.prototype.testbed import RealNetwork
 from repro.scenarios import list_scenarios
-from repro.sim import lte
+from repro.sim import batch, lte
 from repro.sim.config import SliceConfig
+from repro.sim.imperfections import Imperfections
 from repro.sim.multislice import ResourceBudget, SliceRun
 from repro.sim.network import NetworkSimulator
 from repro.sim.parameters import SimulationParameters
@@ -50,7 +57,9 @@ def _results_equal(a, b) -> bool:
         and a.frames_completed == b.frames_completed
         and a.ping_delay_ms == b.ping_delay_ms
         and a.ul_throughput_mbps == b.ul_throughput_mbps
+        and a.dl_throughput_mbps == b.dl_throughput_mbps
         and a.ul_packet_error_rate == b.ul_packet_error_rate
+        and a.dl_packet_error_rate == b.dl_packet_error_rate
         and a.stage_breakdown_ms == b.stage_breakdown_ms
     )
 
@@ -194,6 +203,185 @@ class TestBatchDeterminism:
 
     def test_empty_batch_returns_empty_list(self, simulator):
         assert simulator.run_batch([]) == []
+
+    def test_scalar_fields_are_python_numbers(self, simulator, default_config):
+        # Results are JSON-encoded and content-hashed downstream, where a
+        # NumPy scalar would encode differently from (or fail unlike) a
+        # Python number.
+        result = simulator.run_batch([default_config], duration=self.DURATION, seeds=[1])[0]
+        for name in ("frames_generated", "frames_completed", "traffic"):
+            assert type(getattr(result, name)) is int, name
+        for name in (
+            "duration_s", "ul_throughput_mbps", "dl_throughput_mbps", "ul_packet_error_rate",
+            "dl_packet_error_rate", "ping_delay_ms",
+        ):
+            assert type(getattr(result, name)) is float, name
+        assert all(type(value) is float for value in result.stage_breakdown_ms.values())
+
+
+# --------------------------------------------------------------------------
+# The two layouts of the recurrence and the per-lane stop rule.
+# --------------------------------------------------------------------------
+#: Imperfections whose latency spikes often make a frame complete after its
+#: successor — the case where a lane can miss a frame and create the next.
+SPIKY = replace(Imperfections(), spike_probability=0.3, spike_ms_range=(5.0, 60.0))
+
+#: ``_SCALAR_MAX_LANES`` values forcing each layout: vector throughout, vector
+#: until at most two lanes still run and scalar after, scalar throughout.
+LAYOUTS = {"vector": 0, "mixed": 2, "scalar": 10**6}
+
+#: Lane durations of the layout tests: lanes finish at different frames, and
+#: on every catalog workload the longest outlives the first 256-frame block,
+#: so the "mixed" layout really switches from vector to scalar.
+LAYOUT_DURATIONS = (1.5, 4.0, 0.3, 6.0, 30.0, 60.0)
+
+
+def _assert_layouts_agree(monkeypatch, simulator, requests):
+    by_layout = {}
+    for layout, scalar_max in LAYOUTS.items():
+        monkeypatch.setattr(batch, "_SCALAR_MAX_LANES", scalar_max)
+        by_layout[layout] = simulator.run_requests(requests)
+    for layout, results in by_layout.items():
+        for request, a, b in zip(requests, results, by_layout["vector"]):
+            assert _results_equal(a, b), (layout, request)
+
+
+class TestRecurrenceLayouts:
+    @pytest.mark.parametrize("spec", list_scenarios(), ids=lambda spec: spec.name)
+    def test_catalog_scenario_is_bit_identical_in_both_layouts(self, spec, monkeypatch):
+        for workload in spec.slices:
+            simulator = NetworkSimulator(scenario=workload.scenario, seed=0)
+            requests = [
+                MeasurementRequest(config=workload.deployed_config, duration=duration, seed=seed)
+                for seed, duration in enumerate(LAYOUT_DURATIONS)
+            ]
+            _assert_layouts_agree(monkeypatch, simulator, requests)
+
+    @pytest.mark.parametrize("traffic", [1, 2, 3, 4])
+    def test_spike_heavy_lanes_are_bit_identical_in_both_layouts(
+        self, traffic, default_config, monkeypatch
+    ):
+        simulator = NetworkSimulator(scenario=Scenario(traffic=traffic), imperfections=SPIKY, seed=0)
+        requests = [
+            MeasurementRequest(
+                config=SliceConfig.maximum() if seed % 2 else default_config,
+                duration=duration,
+                seed=seed,
+            )
+            for seed, duration in enumerate(LAYOUT_DURATIONS)
+        ]
+        _assert_layouts_agree(monkeypatch, simulator, requests)
+
+    def test_mixed_traffic_batch_is_bit_identical_in_both_layouts(self, monkeypatch):
+        simulator = NetworkSimulator(imperfections=SPIKY, seed=0)
+        requests = [
+            MeasurementRequest(
+                config=SliceConfig.maximum(), traffic=1 + seed % 4, duration=duration, seed=seed
+            )
+            for seed, duration in enumerate(LAYOUT_DURATIONS)
+        ]
+        _assert_layouts_agree(monkeypatch, simulator, requests)
+
+
+def _resuming_lane_alone_and_batched():
+    """Minimized counterexample to a batch-wide stop rule.
+
+    With traffic 2 a spiked frame completes after its successor, so the lane
+    misses one frame and still creates the next.  Stopping the batch at the
+    first frame every lane missed dropped that frame when the lane ran alone
+    (25 frames generated), but not beside a longer-lived companion (26).
+    """
+    simulator = NetworkSimulator(
+        scenario=Scenario(traffic=2, duration_s=2.0), imperfections=SPIKY, seed=0
+    )
+    lane = MeasurementRequest(config=SliceConfig.maximum(), seed=13)
+    companion = MeasurementRequest(config=SliceConfig.maximum(), seed=10_000, duration=4.0)
+    return simulator.run_requests([lane])[0], simulator.run_requests([lane, companion])[0]
+
+
+class TestPerLaneStop:
+    def test_lane_resuming_after_a_missed_frame_is_batch_independent(self):
+        alone, batched = _resuming_lane_alone_and_batched()
+        assert alone.frames_generated == batched.frames_generated
+        assert _results_equal(alone, batched)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_each_layout_keeps_a_lane_resuming_after_a_missed_frame(self, layout, monkeypatch):
+        monkeypatch.setattr(batch, "_SCALAR_MAX_LANES", LAYOUTS[layout])
+        alone, batched = _resuming_lane_alone_and_batched()
+        assert _results_equal(alone, batched)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_lane_whose_duration_admits_no_frame_ends_empty(
+        self, layout, default_config, monkeypatch
+    ):
+        # No completion lies within a NaN duration, so the lane creates no
+        # frame and is finished at once instead of running to the runaway guard.
+        monkeypatch.setattr(batch, "_SCALAR_MAX_LANES", LAYOUTS[layout])
+        simulator = NetworkSimulator(scenario=Scenario(traffic=2), seed=0)
+        request = MeasurementRequest(config=default_config, duration=float("nan"), seed=1)
+        result = simulator.run_requests([request])[0]
+        assert result.frames_generated == 0
+        assert result.latencies_ms.size == 0
+
+    def test_finished_lane_draws_no_further_blocks(self, simulator, default_config):
+        def short_lane_generator(durations):
+            rngs = [np.random.default_rng(seed) for seed in range(len(durations))]
+            n = len(durations)
+            batch.simulate_batch(
+                [default_config] * n,
+                [simulator.scenario] * n,
+                [simulator.params] * n,
+                simulator.imperfections,
+                durations,
+                rngs,
+            )
+            return rngs[0].bit_generator.state
+
+        # The companion runs ~550 frames: three blocks to the short lane's one.
+        assert short_lane_generator([1.0]) == short_lane_generator([1.0, 120.0])
+
+
+_PROPERTY_SIMULATOR = NetworkSimulator(imperfections=SPIKY, seed=0)
+
+
+@given(
+    lanes=st.lists(
+        st.tuples(
+            st.integers(0, 10_000),
+            st.integers(1, 4),
+            st.floats(0.05, 5.0, allow_nan=False),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    data=st.data(),
+)
+@settings(max_examples=20, deadline=None)
+def test_lane_results_ignore_batch_composition_and_partition(lanes, data):
+    requests = [
+        MeasurementRequest(
+            config=SliceConfig.maximum() if maximum else SliceConfig(),
+            traffic=traffic,
+            duration=duration,
+            seed=seed,
+        )
+        for seed, traffic, duration, maximum in lanes
+    ]
+    shards = data.draw(
+        st.lists(st.integers(0, 2), min_size=len(requests), max_size=len(requests)),
+        label="shard of each lane",
+    )
+    scalar_max = data.draw(st.sampled_from([0, 2, batch._SCALAR_MAX_LANES]), label="layout")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(batch, "_SCALAR_MAX_LANES", scalar_max)
+        whole = _PROPERTY_SIMULATOR.run_requests(requests)
+        for shard in set(shards):
+            members = [i for i, s in enumerate(shards) if s == shard]
+            parts = _PROPERTY_SIMULATOR.run_requests([requests[i] for i in members])
+            for i, result in zip(members, parts):
+                assert _results_equal(result, whole[i]), requests[i]
 
 
 # --------------------------------------------------------------------------
